@@ -25,8 +25,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
-from .config import ConfigError, Scenario, load_config, network_to_config, parse_config, policy_from_name, sim_config
-from .network import Network, UnstableNetworkError, mean_response_time
+from .config import ConfigError, Scenario, load_config, network_to_config, parse_config, sim_config
+from .network import Network, UnstableNetworkError
 from .flows import synthesize_flows
 from .oracle import brute_force_optimum, compare_solutions
 from .sim import Policy, simulate
@@ -203,34 +203,28 @@ def cmd_simulate(args) -> int:
 
 def _set_config_path(data: dict, path: str, value: float) -> None:
     """Assign ``value`` at a dotted path like ``comm.params.t`` or ``nodes.0.arrival_rate``."""
-    parts = path.split(".")
+    *parents, leaf = path.split(".")
     target = data
-    for part in parts[:-1]:
-        if isinstance(target, list):
-            try:
-                target = target[int(part)]
-            except (ValueError, IndexError):
-                raise ConfigError(f"param path {path!r}: bad list index {part!r}") from None
-        elif isinstance(target, dict) and part in target:
-            target = target[part]
-        else:
-            raise ConfigError(f"param path {path!r}: no such field {part!r}")
-    leaf = parts[-1]
+    for part in parents:
+        target = target[_config_key(target, part, path)]
+    key = _config_key(target, leaf, path)
+    if not isinstance(target[key], (int, float)) or isinstance(target[key], bool):
+        raise ConfigError(f"param path {path!r}: does not address a number")
+    target[key] = value
+
+
+def _config_key(target, part: str, path: str):
+    """``part`` as an existing list index or dict key of ``target``."""
     if isinstance(target, list):
         try:
-            idx = int(leaf)
-            target[idx]
+            index = int(part)
+            target[index]
         except (ValueError, IndexError):
-            raise ConfigError(f"param path {path!r}: bad list index {leaf!r}") from None
-        if not isinstance(target[idx], (int, float)) or isinstance(target[idx], bool):
-            raise ConfigError(f"param path {path!r}: does not address a number")
-        target[idx] = value
-    else:
-        if not isinstance(target, dict) or leaf not in target:
-            raise ConfigError(f"param path {path!r}: no such field {leaf!r}")
-        if not isinstance(target[leaf], (int, float)) or isinstance(target[leaf], bool):
-            raise ConfigError(f"param path {path!r}: does not address a number")
-        target[leaf] = value
+            raise ConfigError(f"param path {path!r}: bad list index {part!r}") from None
+        return index
+    if isinstance(target, dict) and part in target:
+        return part
+    raise ConfigError(f"param path {path!r}: no such field {part!r}")
 
 
 def _sweep_row(base: dict, path: str, value: float, solver: SolverConfig) -> list:

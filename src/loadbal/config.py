@@ -17,6 +17,7 @@ Validation errors name the offending path (e.g. ``nodes[1].service_rate``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,8 @@ def _require(data: dict, key: str, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):  # JSON parsing accepts NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 

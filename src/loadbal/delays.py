@@ -6,7 +6,9 @@ network to a mean per-transfer delay G.  The solver works with the
 *marginal* node delay f(beta) = d/dbeta [beta * F(beta)], the price of
 pushing one more unit of load through a node, and with its inverse.
 
-All models are immutable values; every method is a pure function.
+All models are immutable values; every method is a pure function.  The
+M/M/1 curves are array functions of (service rate, rate or price), and every
+interconnect ``delay`` takes a float or an array (a float in gives a float out).
 """
 
 from __future__ import annotations
@@ -34,6 +36,41 @@ class SaturationError(ValueError):
 # node delay
 # ---------------------------------------------------------------------------
 
+def mm1_delay(service_rate, beta) -> np.ndarray:
+    """F(beta) = 1 / (service_rate - beta) elementwise; inf at and beyond saturation.
+
+    Returns a new array, which the caller may overwrite.
+    """
+    out = np.asarray(np.subtract(service_rate, beta, dtype=float))
+    saturated = out <= 0.0
+    np.divide(1.0, out, out=out, where=~saturated)
+    out[saturated] = INFINITE
+    return out
+
+
+def mm1_marginal_delay(service_rate, beta) -> np.ndarray:
+    """f(beta) = service_rate / (service_rate - beta)^2 elementwise; inf at and beyond saturation."""
+    head = np.subtract(service_rate, beta, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(head > 0.0, service_rate / (head * head), INFINITE)
+
+
+def mm1_inverse_marginal_delay(service_rate, price) -> tuple[np.ndarray, np.ndarray]:
+    """Rates beta >= 0 with f(beta) == price elementwise, and where the price is below f(0).
+
+    f(beta) = price solves to beta = service_rate - sqrt(service_rate / price).
+    Prices below f(0) = 1/service_rate cannot be met by any nonnegative rate:
+    those elements get rate 0 and a True flag.  The rates are a new array.
+    """
+    floor = 1.0 / service_rate
+    priced_out = price < floor
+    # clamping at the floor keeps the square root real; clamped elements are zeroed below
+    beta = np.asarray(service_rate - np.sqrt(service_rate / np.maximum(price, floor)))
+    np.maximum(beta, 0.0, out=beta)
+    beta[priced_out] = 0.0
+    return beta, priced_out
+
+
 @dataclass(frozen=True)
 class MM1NodeDelay:
     """Single FIFO server with exponential service at ``service_rate``.
@@ -53,21 +90,13 @@ class MM1NodeDelay:
         """Mean time in system at throughput ``beta``; inf when saturated."""
         if beta < 0:
             raise ValueError(f"processing rate must be >= 0, got {beta}")
-        if beta >= self.service_rate:
-            return INFINITE
-        return 1.0 / (self.service_rate - beta)
-
-    def delay_array(self, beta: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`delay`; callers guarantee beta >= 0."""
-        head = self.service_rate - np.asarray(beta, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(head > 0.0, 1.0 / np.where(head > 0.0, head, 1.0), INFINITE)
-        return out
+        return float(mm1_delay(self.service_rate, beta))
 
     def marginal_delay(self, beta: float) -> float:
         """d/dbeta of beta * F(beta) = service_rate / (service_rate - beta)^2.
 
         Strictly increasing on [0, service_rate); equals F(0) at beta = 0.
+        Plain Python: the simulator's threshold router calls it per arrival.
         """
         if beta < 0:
             raise ValueError(f"processing rate must be >= 0, got {beta}")
@@ -88,11 +117,8 @@ class MM1NodeDelay:
         by any nonnegative rate; those return ``(0.0, True)`` so the caller
         can treat the node as priced out (it idles rather than errors).
         """
-        f0 = self.min_marginal_delay
-        if price < f0:
-            return 0.0, True
-        beta = self.service_rate - math.sqrt(self.service_rate / price)
-        return max(beta, 0.0), False
+        beta, priced_out = mm1_inverse_marginal_delay(self.service_rate, price)
+        return float(beta), bool(priced_out)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +142,9 @@ class ConstantCommDelay:
     def max_rate(self) -> float:
         return INFINITE
 
-    def delay(self, rate: float) -> float:
+    def delay(self, rate: float | np.ndarray) -> float | np.ndarray:
         _check_rate(rate, self.max_rate)
-        return self.transfer_time
-
-    def delay_array(self, rate: np.ndarray) -> np.ndarray:
-        return np.full_like(np.asarray(rate, dtype=float), self.transfer_time)
+        return self.transfer_time + 0.0 * rate  # the shape of ``rate``
 
     def delay_derivative(self, rate: float) -> float:
         _check_rate(rate, self.max_rate)
@@ -151,16 +174,9 @@ class MM1ChannelCommDelay:
     def max_rate(self) -> float:
         return self.capacity
 
-    def delay(self, rate: float) -> float:
+    def delay(self, rate: float | np.ndarray) -> float | np.ndarray:
         _check_rate(rate, self.capacity)
         return self.transfer_time / (1.0 - rate / self.capacity)
-
-    def delay_array(self, rate: np.ndarray) -> np.ndarray:
-        rate = np.asarray(rate, dtype=float)
-        head = 1.0 - rate / self.capacity
-        with np.errstate(divide="ignore"):
-            out = np.where(head > 0.0, self.transfer_time / np.where(head > 0.0, head, 1.0), INFINITE)
-        return out
 
     def delay_derivative(self, rate: float) -> float:
         _check_rate(rate, self.capacity)
@@ -195,16 +211,9 @@ class PolynomialCommDelay:
     def max_rate(self) -> float:
         return INFINITE
 
-    def delay(self, rate: float) -> float:
+    def delay(self, rate: float | np.ndarray) -> float | np.ndarray:
         _check_rate(rate, self.max_rate)
-        out = 0.0
-        for c in reversed(self.coefficients):
-            out = out * rate + c
-        return out
-
-    def delay_array(self, rate: np.ndarray) -> np.ndarray:
-        rate = np.asarray(rate, dtype=float)
-        out = np.zeros_like(rate)
+        out = 0.0 * rate  # the shape of ``rate``
         for c in reversed(self.coefficients):
             out = out * rate + c
         return out
@@ -220,11 +229,16 @@ class PolynomialCommDelay:
 CommDelayModel = ConstantCommDelay | MM1ChannelCommDelay | PolynomialCommDelay
 
 
-def _check_rate(rate: float, max_rate: float) -> None:
-    if rate < 0:
-        raise ValueError(f"transfer rate must be >= 0, got {rate}")
-    if rate >= max_rate:
-        raise SaturationError(f"transfer rate {rate} at or beyond saturation {max_rate}")
+def _check_rate(rate, max_rate: float) -> None:
+    """Reject negative or saturating transfer rates in a float or an array."""
+    if isinstance(rate, np.ndarray):
+        low, high = rate.min(initial=INFINITE), rate.max(initial=-INFINITE)
+    else:
+        low = high = rate
+    if low < 0:
+        raise ValueError(f"transfer rate must be >= 0, got {low}")
+    if high >= max_rate:
+        raise SaturationError(f"transfer rate {high} at or beyond saturation {max_rate}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,29 +289,26 @@ def check_model_admissibility(network: "Network", max_rate: float, samples: int 
     comm = network.comm
     top = min(max_rate, comm.max_rate * (1.0 - 1e-9))
     grid = np.linspace(top / samples, top, samples)
-    g = comm.delay_array(grid)
+    g = comm.delay(grid)
     ratio = g / grid
     ratio_ok = _nondecreasing(ratio)
     comm_ok = _nondecreasing(g)
     triangle_ok = bool(np.all(g >= 0.0))
 
-    node_inc = []
-    node_cvx = []
-    for node in network.nodes:
-        mu = node.delay.service_rate
-        betas = np.linspace(0.0, 0.95 * mu, samples)
-        f = node.delay.delay_array(betas)
-        first = np.diff(f)
-        second = np.diff(first)
-        node_inc.append(bool(np.all(first > 0.0)))
-        node_cvx.append(bool(np.all(second >= -1e-12 * np.abs(f[:-2]).max())))
+    mu = network.service_rates
+    betas = np.linspace(0.0, 0.95 * mu, samples)  # one column per node
+    f = mm1_delay(mu, betas)
+    first = np.diff(f, axis=0)
+    second = np.diff(first, axis=0)
+    node_inc = np.all(first > 0.0, axis=0)
+    node_cvx = np.all(second >= -1e-12 * np.abs(f[:-2]).max(axis=0), axis=0)
 
     return AdmissibilityReport(
         ratio_nondecreasing=ratio_ok,
         comm_nondecreasing=comm_ok,
         triangle_inequality=triangle_ok,
-        node_increasing=tuple(node_inc),
-        node_convex=tuple(node_cvx),
+        node_increasing=tuple(node_inc.tolist()),
+        node_convex=tuple(node_cvx.tolist()),
     )
 
 

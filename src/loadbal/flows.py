@@ -96,7 +96,8 @@ def eliminate_relays(flow: FlowMatrix, comm: CommDelayModel | None = None) -> Fl
     least one positive entry incident to the current relay and resolved
     nodes never regain both directions.
 
-    ``comm``, when given, is used for a cheap safety assertion on the cost.
+    ``comm``, when given, is checked: a ValueError is raised if the rewrite
+    raised its per-transfer delay, which a delay falling with traffic can do.
     """
     x = flow.matrix.copy()
     lam_before = flow.total_rate
@@ -104,5 +105,8 @@ def eliminate_relays(flow: FlowMatrix, comm: CommDelayModel | None = None) -> Fl
         _apply_rewrite(x, *step)
     out = FlowMatrix(x)
     if comm is not None and lam_before > 0 and out.total_rate > 0:
-        assert comm.delay(out.total_rate) <= comm.delay(lam_before) * (1 + 1e-12)
+        cost_before, cost_after = comm.delay(lam_before), comm.delay(out.total_rate)
+        if not cost_after <= cost_before * (1 + 1e-12):
+            raise ValueError(f"relay elimination raised the communication cost: traffic {lam_before!r} -> "
+                             f"{out.total_rate!r}, per-transfer delay {cost_before!r} -> {cost_after!r}")
     return out

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .delays import INFINITE, CommDelayModel, MM1NodeDelay, SaturationError
+from .delays import INFINITE, CommDelayModel, MM1NodeDelay, mm1_delay, mm1_marginal_delay
 
 
 class UnstableNetworkError(ValueError):
@@ -43,7 +43,9 @@ class Network:
     """An ordered set of nodes sharing one interconnect delay model.
 
     Construction rejects instances whose total arrival rate reaches total
-    service capacity; no allocation could stabilize those.
+    service capacity; no allocation could stabilize those.  The price search
+    reads ``marginal_at_arrivals`` f_i(phi_i) (inf at saturation) and
+    ``marginal_at_zero`` f_i(0) on every probe, so they are fixed here.
     """
 
     def __init__(self, nodes, comm: CommDelayModel):
@@ -57,8 +59,11 @@ class Network:
         self.comm = comm
         self._arrival = np.array([n.arrival_rate for n in nodes], dtype=float)
         self._service = np.array([n.delay.service_rate for n in nodes], dtype=float)
-        self._arrival.setflags(write=False)
-        self._service.setflags(write=False)
+        self.marginal_at_arrivals = mm1_marginal_delay(self._service, self._arrival)
+        self.marginal_at_zero = mm1_marginal_delay(self._service, 0.0)
+        for array in (self._arrival, self._service, self.marginal_at_arrivals, self.marginal_at_zero):
+            array.setflags(write=False)
+        self._total_arrival = float(self._arrival.sum())
         if self.total_arrival_rate >= self._service.sum():
             raise UnstableNetworkError(
                 f"unstable network: total arrival rate {self.total_arrival_rate} "
@@ -78,7 +83,7 @@ class Network:
 
     @property
     def total_arrival_rate(self) -> float:
-        return float(self._arrival.sum())
+        return self._total_arrival
 
 
 class FlowMatrix:
@@ -245,6 +250,25 @@ def check_feasibility(network: Network, flow: FlowMatrix) -> FeasibilityReport:
     )
 
 
+def objective(network: Network, rates, traffic):
+    """Aggregate objective sum_i beta_i F_i(beta_i) + Phi * G(lambda), row by row.
+
+    ``rates`` is one row of processing rates, shape (n,), with a scalar
+    ``traffic``, or a block ``rates[k, n]`` with ``traffic[k]``.  The
+    communication term is exactly 0 at zero traffic, so models with a fixed
+    cost make the objective discontinuous there.  A saturated node or
+    interconnect makes a row inf.  Rates must be >= 0.
+    """
+    beta = np.asarray(rates, dtype=float)
+    lam = np.asarray(traffic, dtype=float)
+    terms = mm1_delay(network.service_rates, beta)
+    terms *= beta
+    saturated = lam >= network.comm.max_rate
+    per_transfer = network.comm.delay(np.where(saturated, 0.0, lam))
+    comm_term = np.where(lam > 0.0, network.total_arrival_rate * per_transfer, 0.0)
+    return terms.sum(axis=-1) + np.where(saturated, INFINITE, comm_term)
+
+
 def mean_response_time(network: Network, flow: FlowMatrix) -> float:
     """Objective value of a flow assignment.
 
@@ -257,26 +281,14 @@ def mean_response_time(network: Network, flow: FlowMatrix) -> float:
     beta = processing_rates(network, flow)
     phi_total = network.total_arrival_rate
     tol = 1e-9 * max(phi_total, 1.0)
-    bad = [i for i, b in enumerate(beta) if b < -tol]
-    if bad:
+    bad = np.flatnonzero(beta < -tol)
+    if bad.size:
         raise InfeasibleFlowError(
-            f"outflow exceeds arrivals plus inflow at nodes {bad} (implied rates {[float(beta[i]) for i in bad]})"
+            f"outflow exceeds arrivals plus inflow at nodes {bad.tolist()} (implied rates {beta[bad].tolist()})"
         )
-    beta = np.maximum(beta, 0.0)
     if phi_total == 0:
         return 0.0
-    if np.any(beta >= network.service_rates):
-        return INFINITE
-    node_part = 0.0
-    for i, node in enumerate(network.nodes):
-        node_part += float(beta[i]) / phi_total * node.delay.delay(float(beta[i]))
-    lam = flow.total_rate
-    if lam == 0:
-        return node_part
-    try:
-        return node_part + network.comm.delay(lam)
-    except SaturationError:
-        return INFINITE
+    return float(objective(network, np.maximum(beta, 0.0), flow.total_rate)) / phi_total
 
 
 def aggregate_objective(network: Network, allocation: Allocation) -> float:
@@ -284,20 +296,12 @@ def aggregate_objective(network: Network, allocation: Allocation) -> float:
 
     Equals ``total arrivals * mean_response_time`` for consistent inputs,
     with the same zero-traffic convention for the communication term.
+    Negative rates raise.
     """
     beta = np.asarray(allocation.rates, dtype=float)
-    if np.any(beta >= network.service_rates):
-        return INFINITE
-    total = 0.0
-    for i, node in enumerate(network.nodes):
-        total += float(beta[i]) * node.delay.delay(float(beta[i]))
-    lam = allocation.transfer_rate
-    if lam == 0:
-        return total
-    try:
-        return total + network.total_arrival_rate * network.comm.delay(lam)
-    except SaturationError:
-        return INFINITE
+    if np.any(beta < 0) or allocation.transfer_rate < 0:
+        raise ValueError(f"rates must be >= 0, got {allocation}")
+    return float(objective(network, beta, allocation.transfer_rate))
 
 
 def classify_roles(network: Network, flow: FlowMatrix) -> NodePartition:

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Allocation, Network, NodePartition, NodeRole
+from .network import Allocation, Network, NodePartition, NodeRole, objective
 from .solver import OptimalSolution
 
-_CHUNK_ROWS = 1 << 20
+#: grid points scored per block; bounds the (rows, n) temporaries of the objective
+_CHUNK_ROWS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,6 @@ class ComparisonReport:
     oracle_roles: str
 
 
-def _objective_rows(network: Network, transfers: np.ndarray) -> np.ndarray:
-    """Aggregate objective for each row of net transfers; inf if infeasible."""
-    phi = network.arrival_rates
-    beta = phi[None, :] - transfers
-    shipped = np.maximum(transfers, 0.0).sum(axis=1)
-    total = np.zeros(transfers.shape[0])
-    for i, node in enumerate(network.nodes):
-        b = beta[:, i]
-        with np.errstate(invalid="ignore"):
-            total += b * node.delay.delay_array(b)
-    total[np.any(beta < 0.0, axis=1)] = np.inf
-    with np.errstate(invalid="ignore"):
-        comm = np.where(shipped > 0.0,
-                        network.total_arrival_rate * network.comm.delay_array(shipped),
-                        0.0)
-    return total + comm
-
-
 def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 6) -> OracleResult:
     """Grid-search optimum of the aggregate objective over net transfers.
 
@@ -77,8 +60,7 @@ def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 
         raise ValueError(f"grid must be >= 2, got {grid}")
     phi = network.arrival_rates
     mu = network.service_rates
-    zero = np.zeros((1, n))
-    best_val = float(_objective_rows(network, zero)[0])
+    best_val = float(objective(network, phi, 0.0))
     best_d = np.zeros(n)
 
     if n == 1:
@@ -130,8 +112,12 @@ def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float, last_hi:
         d_free = np.stack([axes[a][coords[a]] for a in range(len(axes))], axis=1)
         d_last = -d_free.sum(axis=1)
         rows = np.concatenate([d_free, d_last[:, None]], axis=1)
-        vals = _objective_rows(network, rows)
-        vals[(d_last < last_lo) | (d_last > last_hi)] = np.inf
+        shipped = np.maximum(rows, 0.0).sum(axis=1)
+        beta = network.arrival_rates - rows
+        # rows with a negative rate or the last coordinate off its box are infeasible
+        infeasible = np.any(beta < 0.0, axis=1) | (d_last < last_lo) | (d_last > last_hi)
+        vals = objective(network, beta, shipped)
+        vals[infeasible] = np.inf
         j = int(np.argmin(vals))
         if vals[j] < best_val:
             best_val = float(vals[j])

@@ -14,6 +14,8 @@ delay curve sits relative to those prices:
   than ``alpha + comm_price``, so they ship everything;
 * neutral nodes sit inside the price band and keep exactly their arrivals.
 
+Every probe classifies all nodes in one array pass over the M/M/1 closed
+forms f(beta) = mu / (mu - beta)^2 and f^-1(p) = mu - sqrt(mu / p).
 ``alpha`` is pinned by conservation of load (the residual below is monotone
 in ``alpha``, so bisection suffices) and ``lambda`` by a second bisection on
 the self-consistency gap between assumed and implied transfer traffic,
@@ -32,6 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .delays import mm1_inverse_marginal_delay, mm1_marginal_delay
 from .network import (
     Allocation,
     Network,
@@ -97,40 +100,41 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
+#: the role of each code that :func:`partition_for_prices` assigns
+_ROLES = np.array([NodeRole.SINK, NodeRole.NEUTRAL, NodeRole.IDLE_SOURCE, NodeRole.ACTIVE_SOURCE])
+
+
+def _price_pass(network: Network, alpha: float, comm_price: float):
+    """Masks of sinks, of nodes in the price band and of priced-out nodes, and every rate.
+
+    A node is in the band when its marginal delay at arrivals is at most
+    ``alpha + comm_price`` (every sink is), and priced out when even its
+    first unit of load costs that much.
+    """
+    if comm_price < 0:
+        raise ValueError(f"comm_price must be >= 0, got {comm_price}")
+    high = alpha + comm_price
+    f_phi = network.marginal_at_arrivals
+    sink = f_phi < alpha
+    band = f_phi <= high
+    priced_out = network.marginal_at_zero >= high
+    beta, _ = mm1_inverse_marginal_delay(network.service_rates, np.where(sink, alpha, high))
+    beta[priced_out & ~band] = 0.0  # ships everything (or, without arrivals, idles)
+    np.copyto(beta, network.arrival_rates, where=band & ~sink)  # keeps exactly its arrivals
+    return sink, band, priced_out, beta
+
+
 def partition_for_prices(network: Network, alpha: float, comm_price: float) -> tuple[NodePartition, np.ndarray]:
-    """Role and processing rate of every node at the given prices.
+    """Role and processing rate of every node at the given prices, in one array pass.
 
     Boundary ties classify as neutral (the closed-interval case), which
     keeps each node's rate continuous in ``alpha``.  Nodes without external
     arrivals can never be sources: when priced out they are neutral at zero
     load, bounded below by ``alpha`` only.
     """
-    if comm_price < 0:
-        raise ValueError(f"comm_price must be >= 0, got {comm_price}")
-    high = alpha + comm_price
-    roles = []
-    beta = np.zeros(len(network))
-    for i, node in enumerate(network.nodes):
-        d = node.delay
-        phi = node.arrival_rate
-        f_phi = d.marginal_delay(phi) if phi < d.service_rate else np.inf
-        if f_phi < alpha:
-            roles.append(NodeRole.SINK)
-            beta[i], _ = d.inverse_marginal_delay(alpha)
-        elif f_phi <= high:
-            roles.append(NodeRole.NEUTRAL)
-            beta[i] = phi
-        elif phi == 0:
-            # nothing to ship: neutral at zero load
-            roles.append(NodeRole.NEUTRAL)
-            beta[i] = 0.0
-        elif d.marginal_delay(0.0) >= high:
-            roles.append(NodeRole.IDLE_SOURCE)
-            beta[i] = 0.0
-        else:
-            roles.append(NodeRole.ACTIVE_SOURCE)
-            beta[i], _ = d.inverse_marginal_delay(high)
-    return NodePartition(roles=tuple(roles)), beta
+    sink, band, priced_out, beta = _price_pass(network, alpha, comm_price)
+    codes = np.where(sink, 0, np.where(band | (network.arrival_rates == 0.0), 1, np.where(priced_out, 2, 3)))
+    return NodePartition(roles=tuple(_ROLES[codes])), beta
 
 
 def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
@@ -140,7 +144,7 @@ def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
     a sink or an active source, which is guaranteed above the smallest
     marginal delay at arrivals.
     """
-    _, beta = partition_for_prices(network, alpha, comm_price)
+    *_, beta = _price_pass(network, alpha, comm_price)
     return float(beta.sum()) - network.total_arrival_rate
 
 
@@ -151,7 +155,7 @@ def _find_alpha(network: Network, comm_price: float, alpha_tol: float) -> float:
     the residual there is exactly -Phi; stability guarantees the residual
     turns positive for large enough alpha.
     """
-    lo = min(n.delay.min_marginal_delay for n in network.nodes) - comm_price
+    lo = float(np.min(1.0 / network.service_rates)) - comm_price
     hi = max(abs(lo) * 2, 1.0) + lo
     for _ in range(200):
         if flow_residual(network, hi, comm_price) > 0:
@@ -170,12 +174,12 @@ def _find_alpha(network: Network, comm_price: float, alpha_tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _sink_surplus(network: Network, partition: NodePartition, beta: np.ndarray) -> float:
-    return float(sum(beta[i] - network.nodes[i].arrival_rate for i in partition.sinks))
-
-
-def _source_deficit(network: Network, partition: NodePartition, beta: np.ndarray) -> float:
-    return float(sum(network.nodes[i].arrival_rate - beta[i] for i in partition.sources))
+def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarray) -> tuple[float, float]:
+    """Sink surplus, sum of beta - phi over sinks, and source deficit, sum of phi - beta over sources."""
+    roles = np.array(partition.roles)
+    phi = network.arrival_rates
+    sources = (roles == NodeRole.IDLE_SOURCE) | (roles == NodeRole.ACTIVE_SOURCE)
+    return float((beta - phi)[roles == NodeRole.SINK].sum()), float((phi - beta)[sources].sum())
 
 
 def _no_transfer_solution(network: Network, iterations: int,
@@ -190,17 +194,10 @@ def _no_transfer_solution(network: Network, iterations: int,
     """
     phi = network.arrival_rates
     comm_price = network.total_arrival_rate * network.comm.delay_derivative(0.0)
-    f_at_phi = [
-        n.delay.marginal_delay(n.arrival_rate) if n.arrival_rate < n.delay.service_rate else np.inf
-        for n in network.nodes
-    ]
-    alpha = float(min(f_at_phi))
-    band_ok = all(
-        f <= alpha + comm_price
-        for f, n in zip(f_at_phi, network.nodes)
-        if n.arrival_rate > 0
-    )
-    allocation = Allocation(rates=tuple(float(p) for p in phi), transfer_rate=0.0)
+    f_at_phi = network.marginal_at_arrivals
+    alpha = float(f_at_phi.min())
+    band_ok = bool(np.all(f_at_phi[phi > 0] <= alpha + comm_price))
+    allocation = Allocation(rates=tuple(phi.tolist()), transfer_rate=0.0)
     return OptimalSolution(
         allocation=allocation,
         partition=NodePartition(roles=(NodeRole.NEUTRAL,) * len(network)),
@@ -224,7 +221,8 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     interconnect's saturation rate, where the surcharge explodes), so
     bisection pins it without any contraction assumption — plain damped
     iteration can limit-cycle on steeply loaded channels.  Inner loop:
-    bisection on ``alpha``.  Models whose delay derivative does not vary
+    bisection on ``alpha``, where each probe partitions all nodes in one
+    array pass.  Models whose delay derivative does not vary
     with load need a single inner solve.  The converged interior candidate
     is compared against the exact no-transfer assignment because the
     objective may be discontinuous at zero traffic.
@@ -243,7 +241,7 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
         comm_price = phi_total * comm.delay_derivative(lam_probe)
         alpha = _find_alpha(network, comm_price, cfg.alpha_tol)
         partition, beta = partition_for_prices(network, alpha, comm_price)
-        implied = min(_sink_surplus(network, partition, beta), lam_cap)
+        implied = min(_transfer_totals(network, partition, beta)[0], lam_cap)
         log.debug("outer: traffic %.6g -> price %.6g, alpha %.6g, implied %.6g",
                   lam_probe, comm_price, alpha, implied)
         return alpha, comm_price, partition, beta, implied
@@ -265,7 +263,8 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     alpha, comm_price, partition, beta, lam = state
     lam_step = abs(lam - probed_at)
     converged = comm.derivative_is_constant or lam_step <= lam_tol
-    allocation = Allocation(rates=tuple(float(b) for b in beta), transfer_rate=lam)
+    allocation = Allocation(rates=tuple(beta.tolist()), transfer_rate=lam)
+    surplus, deficit = _transfer_totals(network, partition, beta)
     interior = OptimalSolution(
         allocation=allocation,
         partition=partition,
@@ -275,8 +274,8 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
         iterations=iterations,
         residuals=SolutionResiduals(
             mass_balance=abs(float(beta.sum()) - phi_total),
-            sink_surplus_gap=abs(lam - _sink_surplus(network, partition, beta)),
-            source_deficit_gap=abs(lam - _source_deficit(network, partition, beta)),
+            sink_surplus_gap=abs(lam - surplus),
+            source_deficit_gap=abs(lam - deficit),
             lambda_step=lam_step,
         ),
         no_transfer_override=False,
@@ -348,39 +347,35 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     phi_total = network.total_arrival_rate
     scale = max(phi_total, 1.0)
 
-    sink_res = 0.0
-    source_res = 0.0
-    neutral_res = 0.0
-    idle_res = 0.0
-    structure_ok = True
-    for i, role in enumerate(solution.partition.roles):
-        node = network.nodes[i]
-        phi = node.arrival_rate
-        f_beta = node.delay.marginal_delay(beta[i]) if beta[i] < node.delay.service_rate else np.inf
-        if role is NodeRole.SINK:
-            sink_res = max(sink_res, abs(f_beta - alpha) / max(alpha, 1e-300))
-            structure_ok &= beta[i] > phi
-        elif role is NodeRole.ACTIVE_SOURCE:
-            source_res = max(source_res, abs(f_beta - high) / max(high, 1e-300))
-            structure_ok &= 0.0 < beta[i] < phi
-        elif role is NodeRole.NEUTRAL:
-            structure_ok &= abs(beta[i] - phi) <= tol * scale
-            low_gap = max(alpha - f_beta, 0.0) / max(alpha, 1e-300)
-            if phi == 0 or solution.no_transfer_override:
-                neutral_res = max(neutral_res, low_gap)
-            else:
-                high_gap = max(f_beta - high, 0.0) / max(high, 1e-300)
-                neutral_res = max(neutral_res, low_gap, high_gap)
-        elif role is NodeRole.IDLE_SOURCE:
-            structure_ok &= beta[i] == 0.0 and phi > 0
-            f0 = node.delay.marginal_delay(0.0)
-            idle_res = max(idle_res, max(high - f0, 0.0) / max(high, 1e-300))
-        else:
-            structure_ok = False  # relays never appear in optimal assignments
+    phi = network.arrival_rates
+    roles = np.array(solution.partition.roles)
+    sink = roles == NodeRole.SINK
+    active = roles == NodeRole.ACTIVE_SOURCE
+    neutral = roles == NodeRole.NEUTRAL
+    idle = roles == NodeRole.IDLE_SOURCE
+    f_beta = mm1_marginal_delay(network.service_rates, beta)
+    alpha_scale = max(alpha, 1e-300)
+    high_scale = max(high, 1e-300)
+
+    def worst(values, where):
+        return float(np.max(values, where=where, initial=0.0))
+
+    sink_res = worst(np.abs(f_beta - alpha) / alpha_scale, sink)
+    source_res = worst(np.abs(f_beta - high) / high_scale, active)
+    low_gap = np.maximum(alpha - f_beta, 0.0) / alpha_scale
+    high_gap = np.maximum(f_beta - high, 0.0) / high_scale
+    # the band's upper edge binds neither nodes without arrivals nor an overridden answer
+    upper_binds = (phi != 0) & (not solution.no_transfer_override)
+    neutral_res = max(worst(low_gap, neutral), worst(high_gap, neutral & upper_binds))
+    idle_res = worst(np.maximum(high - network.marginal_at_zero, 0.0) / high_scale, idle)
+    # each node against its role's rate condition; relays never appear in optimal assignments
+    structure_ok = bool(np.all(np.select(
+        [sink, active, neutral, idle],
+        [beta > phi, (0.0 < beta) & (beta < phi), np.abs(beta - phi) <= tol * scale, (beta == 0.0) & (phi > 0)],
+        default=False)))
 
     mass_res = abs(float(beta.sum()) - phi_total) / scale
-    surplus = _sink_surplus(network, solution.partition, beta)
-    deficit = _source_deficit(network, solution.partition, beta)
+    surplus, deficit = _transfer_totals(network, solution.partition, beta)
     transfer_res = max(abs(lam - surplus), abs(lam - deficit)) / scale
     price_res = abs(comm_price - phi_total * network.comm.delay_derivative(lam)) / max(comm_price, 1.0)
 
@@ -391,13 +386,13 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
             margin = float(solution.interior_objective - solution.objective)
 
     return KktReport(
-        sink_price=float(sink_res),
-        source_price=float(source_res),
-        neutral_band=float(neutral_res),
-        idle_bound=float(idle_res),
+        sink_price=sink_res,
+        source_price=source_res,
+        neutral_band=neutral_res,
+        idle_bound=idle_res,
         mass_balance=float(mass_res),
         transfer_identity=float(transfer_res),
         comm_price_consistency=float(price_res),
-        structure_ok=bool(structure_ok),
+        structure_ok=structure_ok,
         override_margin=margin,
     )

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -96,6 +97,16 @@ class TestSolve:
         assert main(["solve", path]) == 2
         assert "comm.model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("arrival_rate", math.nan), ("service_rate", math.inf)])
+    def test_non_finite_number_exit_2(self, tmp_path, capsys, field, value):
+        node = {"id": "a", "arrival_rate": 1.0, "service_rate": 4.0, field: value}
+        path = write_config(tmp_path / "bad.json", {  # json writes NaN and Infinity
+            "nodes": [node],
+            "comm": {"model": "constant", "params": {"t": 0.05}},
+        })
+        assert main(["solve", path]) == 2
+        assert f"nodes[0].{field}" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 2
 
@@ -179,6 +190,15 @@ class TestSweep:
         assert main(["sweep", asym_config, "--param", "comm.params.bandwidth",
                      "--from", "0", "--to", "1", "--steps", "3"]) == 2
         assert "param path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param, message", [
+        ("nodes.9.arrival_rate", "bad list index '9'"),
+        ("nodes.0.id", "does not address a number"),
+    ])
+    def test_param_path_errors_exit_2(self, asym_config, capsys, param, message):
+        assert main(["sweep", asym_config, "--param", param,
+                     "--from", "0", "--to", "1", "--steps", "3"]) == 2
+        assert message in capsys.readouterr().err
 
     def test_parallel_matches_serial(self, asym_config, tmp_path):
         serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import loadbal as lb
+from loadbal.delays import mm1_delay, mm1_inverse_marginal_delay, mm1_marginal_delay
 
 from conftest import make_network
 
@@ -99,11 +100,20 @@ class TestNodeDelay:
             model = lb.MM1NodeDelay(mu)
             assert model.marginal_delay(b1) < model.marginal_delay(b2)
 
-    def test_delay_array_matches_scalar(self):
+    @pytest.mark.parametrize("method", ["delay", "marginal_delay", "inverse_marginal_delay"])
+    def test_scalar_views_match_array_forms(self, method):
+        # service rate 3: rates reach and pass saturation, prices start below f(0) = 1/3
+        betas = (0.0, 1.0, 2.9, 3.0 * (1 - 1e-12), 3.0, 5.0)
+        prices = (-1.0, 0.0, 0.3, np.nextafter(1 / 3, 0.0), 1 / 3, 0.5, 2.0, 1e12, math.inf)
+        array_form, grid = {
+            "delay": (mm1_delay, betas),
+            "marginal_delay": (mm1_marginal_delay, betas),
+            "inverse_marginal_delay": (mm1_inverse_marginal_delay, prices),
+        }[method]
+        out = array_form(3.0, np.array(grid))
+        expected = list(zip(*(a.tolist() for a in out))) if isinstance(out, tuple) else out.tolist()
         model = lb.MM1NodeDelay(3.0)
-        betas = np.array([0.0, 1.0, 2.9, 3.0, 5.0])
-        vals = model.delay_array(betas)
-        assert vals.tolist() == [model.delay(float(b)) for b in betas]
+        assert [getattr(model, method)(float(x)) for x in grid] == expected
 
 
 class TestCommDelay:
@@ -174,7 +184,7 @@ class TestAdmissibility:
         # capacity/2 before rising again, so the property fails
         model = lb.MM1ChannelCommDelay(0.1, 10.0)
         grid = np.linspace(9.0 / 1000, 9.0, 1000)
-        ratios = model.delay_array(grid) / grid
+        ratios = model.delay(grid) / grid
         expected = bool(np.all(np.diff(ratios) >= -1e-15))
         assert expected is False
         net = make_network([0.5], [2.0], model)

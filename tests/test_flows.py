@@ -80,6 +80,18 @@ class TestEliminateRelays:
         assert out.matrix.tolist() == expected.tolist()
         assert out.total_rate == pytest.approx(0.2)
 
+    def test_cost_rise_raises(self):
+        class FallingCommDelay:
+            """Stub interconnect whose per-transfer delay falls as traffic grows."""
+
+            def delay(self, rate):
+                return 1.0 / (1.0 + rate)
+
+        # shortcutting 0 -> 1 -> 2 halves the traffic, so this delay rises
+        flow = lb.FlowMatrix([[0.0, 0.4, 0.0], [0.0, 0.0, 0.4], [0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="raised the communication cost"):
+            lb.eliminate_relays(flow, FallingCommDelay())
+
     def test_round_trip_cancels(self):
         flow = lb.FlowMatrix([[0.0, 0.3], [0.2, 0.0]])
         out = lb.eliminate_relays(flow)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import loadbal as lb
+from loadbal.network import objective
 
 from conftest import headroom_network, make_network, random_feasible_flow
 
@@ -110,6 +111,26 @@ class TestObjective:
                 for n in net.nodes
             )
             assert lb.mean_response_time(net, lb.FlowMatrix.zero(3)) == pytest.approx(expected, rel=1e-12)
+
+
+class TestObjectiveBlock:
+    @pytest.mark.parametrize("comm", [lb.ConstantCommDelay(0.3), lb.MM1ChannelCommDelay(0.1, 2.0)])
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_block_equals_rows(self, comm, n):
+        rng = np.random.default_rng(16)
+        services = rng.uniform(1.0, 4.0, n)
+        net = make_network(rng.uniform(0.0, 0.5, n), services, comm)
+        rates = rng.uniform(0.0, 0.9, (24, n)) * services
+        traffic = rng.uniform(0.0, 1.9, 24)
+        rates[0, 1] = services[1]  # a saturated node
+        traffic[1:3] = 2.0, 3.0    # at and above the channel's capacity
+        traffic[3] = 0.0
+        block = objective(net, rates, traffic)
+        assert block.tolist() == [float(objective(net, r, t)) for r, t in zip(rates, traffic)]
+        assert block[0] == lb.INFINITE
+        assert np.isinf(block[1:3]).all() == np.isfinite(comm.max_rate)
+        # zero traffic adds no communication term, even at a fixed cost t > 0
+        assert block[3] == float((rates[3] * (1.0 / (services - rates[3]))).sum())
 
 
 class TestFeasibility:
