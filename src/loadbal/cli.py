@@ -233,8 +233,10 @@ def _sweep_row(base: dict, path: str, value: float, solver: SolverConfig) -> lis
     try:
         scenario = parse_config(data)
         solution = solve(scenario.network, solver)
-    except (ConfigError, UnstableNetworkError):
-        return [repr(value), "nan", "nan", "nan", "unstable"]
+    except (ConfigError, UnstableNetworkError) as exc:
+        # parse_config wraps the network's UnstableNetworkError in a ConfigError
+        unstable = isinstance(exc, UnstableNetworkError) or isinstance(exc.__cause__, UnstableNetworkError)
+        return [repr(value), "nan", "nan", "nan", "unstable" if unstable else "invalid"]
     except ConvergenceError:
         return [repr(value), "nan", "nan", "nan", "no_convergence"]
     phi_total = scenario.network.total_arrival_rate
@@ -278,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a scenario and report the allocation")
     p.add_argument("config")
-    p.add_argument("--tol", type=float, default=None, help="alpha search tolerance override")
+    p.add_argument("--tol", type=float, default=None,
+                   help="alpha_tol override: the relative alpha step at which the price search stops")
     p.add_argument("--out", default=None, help="write the report to this file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_solve)

@@ -14,17 +14,22 @@ delay curve sits relative to those prices:
   than ``alpha + comm_price``, so they ship everything;
 * neutral nodes sit inside the price band and keep exactly their arrivals.
 
-Every probe classifies all nodes in one array pass over the M/M/1 closed
-forms f(beta) = mu / (mu - beta)^2 and f^-1(p) = mu - sqrt(mu / p).
-``alpha`` is pinned by conservation of load (the residual below is monotone
-in ``alpha``, so bisection suffices) and ``lambda`` by a second bisection on
-the self-consistency gap between assumed and implied transfer traffic,
-since the surcharge itself depends on it.  Interconnect models with a
-fixed cost at zero traffic make the objective discontinuous at the
-no-transfer point; the solver compares the converged interior candidate
-against the exact no-transfer assignment and returns the better, flagging
-the case where the comparison (not the price conditions) is what
-justifies the answer.
+Both prices are found exactly.  For a fixed surcharge c, conservation of
+load pins ``alpha``: the residual (allocated minus arriving load) is
+K - S1 alpha^(-1/2) - S2 (alpha + c)^(-1/2) between consecutive role
+breakpoints 1/mu_i - c, f_i(phi_i) - c and f_i(phi_i), with
+f(beta) = mu / (mu - beta)^2.  Sorting those breakpoints locates the
+segment holding the root, which is then solved on that segment in closed
+form or by a few monotone Newton steps (single-point water-filling, as in
+Tantawi & Towsley 1985 and Kim & Kameda 1992).  The traffic ``lambda``
+solves the self-consistency gap between assumed and implied transfer
+traffic, since the surcharge itself depends on it; Illinois regula falsi
+brackets it, usually within ten probes.  Interconnect models with a fixed cost
+at zero traffic make the objective discontinuous at the no-transfer
+point; the solver compares the converged interior candidate against the
+exact no-transfer assignment and returns the better, flagging the case
+where the comparison (not the price conditions) is what justifies the
+answer.
 """
 
 from __future__ import annotations
@@ -50,7 +55,11 @@ log = logging.getLogger(__name__)
 class SolverConfig:
     """Tolerances for the scalar searches.
 
-    ``lambda_tol`` of None means 1e-9 times the total arrival rate.
+    ``alpha_tol`` is the relative ``alpha`` step at which the Newton root
+    on the breakpoint segment stops (closed-form segments ignore it).
+    ``lambda_tol`` is the largest self-consistency gap accepted on the
+    transfer traffic; None means 1e-9 times the total arrival rate.
+    ``max_outer`` caps the outer traffic probes.
     """
 
     alpha_tol: float = 1e-10
@@ -149,29 +158,94 @@ def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
 
 
 def _find_alpha(network: Network, comm_price: float, alpha_tol: float) -> float:
-    """Bisection on the monotone residual.
+    """Exact breakpoint search for the common price: inf{alpha : flow_residual > 0}.
 
-    The lower end ``min_i f_i(0) - comm_price`` prices every node out, so
-    the residual there is exactly -Phi; stability guarantees the residual
-    turns positive for large enough alpha.
+    With the surcharge c fixed, node i changes role at three prices: from
+    idle to active source at 1/mu_i - c, from active source to the neutral
+    band at f_i(phi_i) - c, and from the band to sink at f_i(phi_i)
+    (infinite breakpoints of overloaded nodes are dropped).  Between two
+    breakpoints the residual is
+
+        R(alpha) = K - S1 * alpha**-0.5 - S2 * (alpha + c)**-0.5
+
+    with K the service rates of sinks and active sources plus the neutral
+    arrivals, less Phi, and S1 (S2) the sum of sqrt(mu) over sinks (active
+    sources).  Cumulative sums over the sorted breakpoints give R at every
+    breakpoint; the first positive one closes the segment holding the root.
+    Its role set is summed again exactly and R is solved on it: in closed
+    form when only sinks or only sources move, else by Newton steps from
+    below, where R is concave and increasing so the iterates rise
+    monotonically to the root.  They stop once a step is at most
+    ``alpha_tol`` relative to alpha.
+
+    When every loaded node fits in the band at the smallest f_i(phi_i),
+    R is 0 up to that price and positive beyond it, so that price is the
+    answer, returned exactly: nodes tied with it classify as neutral.
     """
-    lo = float(np.min(1.0 / network.service_rates)) - comm_price
-    hi = max(abs(lo) * 2, 1.0) + lo
-    for _ in range(200):
-        if flow_residual(network, hi, comm_price) > 0:
-            break
-        hi = lo + (hi - lo) * 2.0
+    n = len(network)
+    mu = network.service_rates
+    phi = network.arrival_rates
+    f_phi = network.marginal_at_arrivals
+    first_sink = float(f_phi.min())
+    if np.all(f_phi[phi > 0] <= first_sink + comm_price):
+        return first_sink  # every node keeps its arrivals up to here, and a sink starts just above
+    root_mu = np.sqrt(mu)
+    zero = np.zeros(n)
+    points = np.concatenate((network.marginal_at_zero - comm_price, f_phi - comm_price, f_phi))
+    # a stable sort keeps each node's three breakpoints in order when they tie; inf sorts last
+    order = np.argsort(points, kind="stable")[:np.count_nonzero(np.isfinite(points))]
+    kind = order // n  # 0: turns active, 1: joins the band, 2: turns sink
+    at = points[order]
+    k = np.cumsum(np.concatenate((mu, phi - mu, mu - phi))[order]) - network.total_arrival_rate
+    s1 = np.cumsum(np.concatenate((zero, zero, root_mu))[order])
+    s2 = np.cumsum(np.concatenate((root_mu, -root_mu, zero))[order])
+    sinks = np.cumsum(kind == 2)
+    actives = np.cumsum(kind == 0) - np.cumsum(kind == 1)
+    # R at the right end of each segment; a segment nothing moves on cannot hold the root
+    right = np.append(at[1:], np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = k - np.where(sinks > 0, s1 / np.sqrt(right), 0.0) \
+              - np.where(actives > 0, s2 / np.sqrt(right + comm_price), 0.0)
+    crossed = (r > 0.0) & ((sinks > 0) | (actives > 0))
+    crossed[-1] = True  # stability makes R positive beyond the last breakpoint
+    j = int(np.argmax(crossed))
+
+    passed = np.zeros(3 * n, dtype=bool)
+    passed[order[:j + 1]] = True
+    turned_active, joined_band, sink = passed.reshape(3, n)
+    active = turned_active & ~joined_band
+    moving = sink | active
+    k_exact = float((mu - phi)[moving].sum() - phi[~turned_active].sum())
+    s1_exact = float(root_mu[sink].sum())
+    s2_exact = float(root_mu[active].sum())
+    if k_exact <= 0.0:  # R stays below K, so no finite price balances the load
+        raise ConvergenceError(
+            f"no finite alpha balances the load at comm price {comm_price!r}: "
+            f"total arrivals are within rounding of the capacity that can absorb them")
+    return _segment_root(k_exact, s1_exact, s2_exact, comm_price, float(at[j]), float(right[j]), alpha_tol)
+
+
+def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: float,
+                  alpha_tol: float) -> float:
+    """Root of K - S1 alpha^-1/2 - S2 (alpha + c)^-1/2 on [left, right], clamped to it."""
+    if s2 == 0.0:
+        root = (s1 / k) ** 2
+    elif s1 == 0.0:
+        root = (s2 / k) ** 2 - c
     else:
-        raise ConvergenceError("could not bracket the price search")
-    for _ in range(200):
-        if hi - lo <= alpha_tol * max(abs(hi), 1e-12):
-            break
-        mid = 0.5 * (lo + hi)
-        if flow_residual(network, mid, comm_price) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        # (alpha + c)^-1/2 <= alpha^-1/2, so R is negative below this bound
+        root = max(left, ((s1 + s2) / k) ** 2 - c)
+        for _ in range(100):
+            t1 = root ** -0.5
+            t2 = (root + c) ** -0.5
+            residual = k - s1 * t1 - s2 * t2
+            if residual >= 0.0:
+                break
+            step = -2.0 * residual / (s1 * t1 ** 3 + s2 * t2 ** 3)
+            root += step
+            if step <= alpha_tol * root:
+                break
+    return min(max(root, left), right)
 
 
 def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarray) -> tuple[float, float]:
@@ -211,21 +285,80 @@ def _no_transfer_solution(network: Network, iterations: int,
     )
 
 
+@dataclass(frozen=True)
+class _Probe:
+    """One outer probe: the assumed traffic, its prices and the traffic they imply."""
+
+    traffic: float
+    comm_price: float
+    alpha: float
+    implied: float
+
+    @property
+    def gap(self) -> float:
+        return self.implied - self.traffic
+
+
+def _traffic_search(probe, start: _Probe, cap: float, floor: float,
+                    max_probes: int) -> tuple[list[_Probe], str]:
+    """Illinois (regula falsi) on the decreasing gap ``implied(lambda) - lambda`` over [0, cap].
+
+    ``start`` is the probe at zero traffic, with a positive gap.  The cap is
+    probed next: a nonnegative gap there makes the cap the answer.
+    Otherwise the bracket shrinks until the gap or the bracket is at most
+    ``floor``, or ``max_probes`` probes have run.  Returns every probe in
+    order and why the search stopped.
+    """
+    probes = [start]
+    cap_reason = f"it reached the probe cap max_outer={max_probes}"
+    if max_probes < 2:
+        return probes, cap_reason
+    probes.append(probe(cap))
+    if probes[-1].gap >= 0.0:
+        return probes, "the fixed point is the traffic ceiling"
+    lo, g_lo, hi, g_hi = start.traffic, start.gap, cap, probes[-1].gap
+    moved = 0  # which end the last probe replaced: +1 low, -1 high
+    while True:
+        if abs(probes[-1].gap) <= floor:
+            return probes, "the gap settled"
+        if hi - lo <= floor:
+            return probes, f"the bracket collapsed to width {hi - lo:.3g}"
+        if len(probes) >= max_probes:
+            return probes, cap_reason
+        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        probes.append(probe(x))
+        gap = probes[-1].gap
+        if gap > 0.0:
+            lo, g_lo = x, gap
+            if moved > 0:  # the high end is kept twice running: halve its gap
+                g_hi *= 0.5
+            moved = 1
+        else:
+            hi, g_hi = x, gap
+            if moved < 0:
+                g_lo *= 0.5
+            moved = -1
+
+
 def solve(network: Network, config: SolverConfig | None = None) -> OptimalSolution:
     """Optimal static allocation for ``network``.
 
-    Outer loop: the surcharge depends on the transfer traffic, so the
+    Outer search: the surcharge depends on the transfer traffic, so the
     traffic must solve the self-consistency equation
     ``implied_traffic(lambda) = lambda``.  The gap is positive at zero and
-    nonpositive at the traffic ceiling (total arrivals, or just under the
-    interconnect's saturation rate, where the surcharge explodes), so
-    bisection pins it without any contraction assumption — plain damped
-    iteration can limit-cycle on steeply loaded channels.  Inner loop:
-    bisection on ``alpha``, where each probe partitions all nodes in one
-    array pass.  Models whose delay derivative does not vary
-    with load need a single inner solve.  The converged interior candidate
-    is compared against the exact no-transfer assignment because the
-    objective may be discontinuous at zero traffic.
+    decreasing up to the traffic ceiling (total arrivals, or just under
+    the interconnect's saturation rate, where the surcharge explodes), so
+    a bracketing search pins it without any contraction assumption — plain
+    damped iteration can limit-cycle on steeply loaded channels.  The
+    search is Illinois regula falsi, which converges superlinearly; models
+    whose delay derivative does not vary with load need a single probe.
+    Inner search: each probe finds ``alpha`` exactly by sorting the role
+    breakpoints (:func:`_find_alpha`) and reads its implied traffic from
+    one array pass.  Roles are built once, for the probe returned.  The
+    interior candidate is compared against the exact no-transfer
+    assignment because the objective may be discontinuous at zero traffic.
     """
     cfg = config or SolverConfig()
     phi_total = network.total_arrival_rate
@@ -236,59 +369,52 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     lam_cap = phi_total
     if np.isfinite(comm.max_rate):
         lam_cap = min(lam_cap, comm.max_rate * (1.0 - 1e-9))
+    phi = network.arrival_rates
 
-    def probe(lam_probe: float):
-        comm_price = phi_total * comm.delay_derivative(lam_probe)
+    def probe(traffic: float) -> _Probe:
+        comm_price = phi_total * comm.delay_derivative(traffic)
         alpha = _find_alpha(network, comm_price, cfg.alpha_tol)
-        partition, beta = partition_for_prices(network, alpha, comm_price)
-        implied = min(_transfer_totals(network, partition, beta)[0], lam_cap)
+        sink, _, _, beta = _price_pass(network, alpha, comm_price)
+        implied = min(float((beta - phi)[sink].sum()), lam_cap)
         log.debug("outer: traffic %.6g -> price %.6g, alpha %.6g, implied %.6g",
-                  lam_probe, comm_price, alpha, implied)
-        return alpha, comm_price, partition, beta, implied
+                  traffic, comm_price, alpha, implied)
+        return _Probe(traffic, comm_price, alpha, implied)
 
-    iterations = 1
-    probed_at = 0.0
-    state = probe(0.0)
-    if not comm.derivative_is_constant and state[4] > 0.0:
-        lo, hi = 0.0, lam_cap
-        while iterations < cfg.max_outer and hi - lo > 1e-15 * max(phi_total, 1.0):
-            iterations += 1
-            probed_at = 0.5 * (lo + hi)
-            state = probe(probed_at)
-            if state[4] > probed_at:
-                lo = probed_at
-            else:
-                hi = probed_at
+    probes, stopped = [probe(0.0)], None
+    if not comm.derivative_is_constant and probes[0].implied > 0.0:
+        floor = 1e-15 * max(phi_total, 1.0)
+        probes, stopped = _traffic_search(probe, probes[0], lam_cap, floor, cfg.max_outer)
+    best = min(probes, key=lambda p: abs(p.gap))
 
-    alpha, comm_price, partition, beta, lam = state
-    lam_step = abs(lam - probed_at)
-    converged = comm.derivative_is_constant or lam_step <= lam_tol
+    partition, beta = partition_for_prices(network, best.alpha, best.comm_price)
+    lam = best.implied
     allocation = Allocation(rates=tuple(beta.tolist()), transfer_rate=lam)
     surplus, deficit = _transfer_totals(network, partition, beta)
     interior = OptimalSolution(
         allocation=allocation,
         partition=partition,
-        alpha=alpha,
-        comm_price=comm_price,
+        alpha=best.alpha,
+        comm_price=best.comm_price,
         objective=aggregate_objective(network, allocation),
-        iterations=iterations,
+        iterations=len(probes),
         residuals=SolutionResiduals(
             mass_balance=abs(float(beta.sum()) - phi_total),
             sink_surplus_gap=abs(lam - surplus),
             source_deficit_gap=abs(lam - deficit),
-            lambda_step=lam_step,
+            lambda_step=abs(best.gap),
         ),
         no_transfer_override=False,
         interior_objective=None,
     )
-    if not converged:
+    if stopped is not None and abs(best.gap) > lam_tol:
         raise ConvergenceError(
-            f"transfer traffic fixed point did not settle in {cfg.max_outer} iterations "
-            f"(last step {lam_step:.3g})",
+            f"transfer traffic fixed point did not settle: the search stopped after {len(probes)} "
+            f"probes because {stopped}; last gap {probes[-1].gap:.3g}, best gap {best.gap:.3g}, "
+            f"tolerance {lam_tol:.3g}",
             best=interior,
         )
 
-    no_transfer = _no_transfer_solution(network, iterations, interior_objective=interior.objective)
+    no_transfer = _no_transfer_solution(network, len(probes), interior_objective=interior.objective)
     if interior.allocation.transfer_rate > 0 and interior.objective < no_transfer.objective:
         return interior
     if no_transfer.no_transfer_override and interior.allocation.transfer_rate == 0:

@@ -186,6 +186,23 @@ class TestSweep:
         assert rows[-1][4] == "unstable"
         assert any(r[4] != "unstable" for r in rows[1:])
 
+    def test_invalid_value_marked(self, tmp_path):
+        # t=0 is not a valid mm1_channel; the network itself is stable
+        config = write_config(tmp_path / "channel.json", {
+            "nodes": [
+                {"id": "a", "arrival_rate": 1.5, "service_rate": 4.0},
+                {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0},
+            ],
+            "comm": {"model": "mm1_channel", "params": {"t": 0.02, "capacity": 2.0}},
+        })
+        out_file = tmp_path / "sweep.csv"
+        code = main(["sweep", config, "--param", "comm.params.t",
+                     "--from", "0.0", "--to", "0.04", "--steps", "3", "--out", str(out_file)])
+        assert code == 0
+        rows = list(csv.reader(out_file.read_text().splitlines()))
+        assert rows[1] == ["0.0", "nan", "nan", "nan", "invalid"]
+        assert all(r[4] not in ("invalid", "unstable") for r in rows[2:])
+
     def test_bad_param_path_exit_2(self, asym_config, capsys):
         assert main(["sweep", asym_config, "--param", "comm.params.bandwidth",
                      "--from", "0", "--to", "1", "--steps", "3"]) == 2

@@ -220,3 +220,157 @@ class TestVerifyOptimality:
         assert report.override_margin is not None
         assert report.override_margin >= 0.0
         assert report.worst() < 1e-8
+
+
+def bisect_alpha(net, comm_price, steps=200):
+    """Reference for the price search: bisection on the residual's sign, to the last float."""
+    lo = float(np.min(1.0 / net.service_rates)) - comm_price  # every node priced out
+    hi = lo + 1.0
+    while lb.flow_residual(net, hi, comm_price) <= 0:
+        hi = lo + 2.0 * (hi - lo)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if lb.flow_residual(net, mid, comm_price) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def loaddep_network(rng, n, model):
+    """Heterogeneous instance with load-dependent comm: services 10^-1.5..10^2,
+    10% of nodes without arrivals, 6% nearly saturated, a channel scaled to the load."""
+    mu = 10.0 ** rng.uniform(-1.5, 2.0, n)
+    rho = rng.uniform(0.05, 0.9, n)
+    order = rng.permutation(n)
+    n_zero, n_sat = max(1, n // 10), max(1, (6 * n) // 100)
+    rho[order[:n_zero]] = 0.0
+    rho[order[n_zero:n_zero + n_sat]] = rng.uniform(0.95, 0.995, n_sat)
+    phi = rho * mu
+    total = float(phi.sum())
+    t = float(np.median(1.0 / mu)) * float(rng.uniform(0.1, 1.0))
+    if model == "mm1_channel":
+        comm = lb.MM1ChannelCommDelay(t, total * float(rng.uniform(0.5, 3.0)))
+    else:
+        comm = lb.PolynomialCommDelay((0.0, t * float(rng.uniform(0.0, 1.0)) / total,
+                                       t * float(rng.uniform(0.5, 2.0)) / total ** 2))
+    return make_network(phi, mu, comm)
+
+
+def wide_network(rng):
+    """Instance far outside the acceptance range: services log-uniform on 1e-4..1e4,
+    n <= 30, nodes loaded up to 1.2x their own capacity or without arrivals, any comm model."""
+    n = int(rng.integers(1, 31))
+    mu = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    rho = rng.uniform(0.0, 1.2, n)
+    rho[rng.random(n) < 0.2] = 0.0
+    phi = rho * mu
+    if phi.sum() >= 0.95 * mu.sum():
+        phi *= rng.uniform(0.3, 0.95) * mu.sum() / phi.sum()
+    total = max(float(phi.sum()), 1e-12)
+    t = float(np.median(1.0 / mu)) * 10.0 ** rng.uniform(-2.0, 1.0)
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        comm = lb.ConstantCommDelay(t)
+    elif kind == 1:
+        comm = lb.MM1ChannelCommDelay(t, total * float(rng.uniform(0.2, 3.0)))
+    else:
+        head = t if rng.random() < 0.3 else 0.0
+        comm = lb.PolynomialCommDelay((head, t * float(rng.uniform(0.0, 1.0)) / total,
+                                       t * float(rng.uniform(0.0, 2.0)) / total ** 2))
+    return make_network(phi, mu, comm)
+
+
+class TestFindAlpha:
+    def test_residual_at_rounding_level_with_large_sinks(self):
+        # idle nodes with mu up to 1e4 become sinks; a heavily loaded fast node
+        # keeps the sum's own rounding step (about 2e-16 * mu) below the bound
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            n = int(rng.integers(3, 12))
+            mu = 10.0 ** rng.uniform(-1.0, 4.0, n)
+            phi = rng.uniform(0.05, 0.9, n) * mu
+            phi[rng.permutation(n)[: n // 3 + 1]] = 0.0
+            phi[int(np.argmax(mu))] = 0.9 * mu.max()
+            net = make_network(phi, mu)
+            scale = max(net.total_arrival_rate, 1.0)
+            for comm_price in (0.0, float(rng.uniform(0.0, 2.0)) / np.median(mu)):
+                alpha = lb.solver._find_alpha(net, comm_price, 1e-10)
+                assert abs(lb.flow_residual(net, alpha, comm_price)) <= 1e-12 * scale
+
+    def test_all_neutral_returns_right_edge_of_zero_set(self):
+        net = make_network([0.5, 1.0, 2.0], [2.0, 3.0, 5.0])
+        f_phi = net.marginal_at_arrivals
+        comm_price = float(f_phi.max() - f_phi.min()) + 0.1  # the band holds every node
+        alpha = lb.solver._find_alpha(net, comm_price, 1e-10)
+        assert alpha == f_phi.min()
+        assert lb.flow_residual(net, alpha, comm_price) == 0.0
+        assert lb.flow_residual(net, alpha * (1 - 1e-9), comm_price) == 0.0
+        assert lb.flow_residual(net, alpha * (1 + 1e-9), comm_price) > 0.0
+        partition, _ = lb.partition_for_prices(net, alpha, comm_price)
+        assert set(partition.roles) == {lb.NodeRole.NEUTRAL}
+
+    @pytest.mark.parametrize("comm_price", [0.0, 0.05, 0.3])
+    def test_tied_breakpoints_match_bisection(self, comm_price):
+        # equal nodes tie on all three breakpoints, zero-arrival nodes tie
+        # f(phi) with f(0), and a zero surcharge ties f(phi) - c with f(phi)
+        nets = [
+            make_network([1.5, 1.5, 0.0, 0.0], [4.0, 4.0, 4.0, 4.0]),
+            make_network([3.0, 3.0, 0.2, 0.0], [3.5, 3.5, 1.0, 1.0]),
+            make_network([0.9, 0.9, 0.9], [1.0, 1.0, 1.0]),
+            make_network([2.5, 0.0, 0.0], [2.0, 4.0, 4.0]),  # overloaded: one breakpoint only
+        ]
+        for net in nets:
+            alpha = lb.solver._find_alpha(net, comm_price, 1e-10)
+            assert alpha == pytest.approx(bisect_alpha(net, comm_price), rel=1e-12)
+            assert lb.flow_residual(net, alpha, comm_price) == pytest.approx(0.0, abs=1e-12)
+
+
+    def test_capacity_within_rounding_raises(self):
+        # arrivals fall 2e-16 short of capacity: no finite price absorbs them,
+        # so the solver refuses instead of keeping the overloaded node's load
+        net = make_network([0.10292525252525252, 0.9810747474747474], [0.255, 0.829],
+                           lb.ConstantCommDelay(0.0))
+        with pytest.raises(lb.ConvergenceError, match="no finite alpha"):
+            lb.solve(net)
+
+
+class TestTrafficSearch:
+    def test_few_probes_at_n200(self):
+        rng = np.random.default_rng(41)
+        for k in range(8):
+            net = loaddep_network(rng, 200, ("mm1_channel", "polynomial")[k % 2])
+            solution = lb.solve(net)
+            assert solution.iterations <= 12
+            assert lb.verify_optimality(net, solution).passed()
+
+    def test_fixed_point_at_traffic_cap(self):
+        # the fast node takes everything: the traffic ceiling Phi is the fixed point
+        net = make_network([1.0, 0.0], [1.05, 100.0], lb.PolynomialCommDelay((0.0, 0.0, 1e-6)))
+        solution = lb.solve(net)
+        assert solution.allocation.transfer_rate == net.total_arrival_rate
+        assert solution.iterations == 2
+        assert solution.partition.roles == (lb.NodeRole.IDLE_SOURCE, lb.NodeRole.SINK)
+        assert lb.verify_optimality(net, solution).passed()
+
+    def test_convergence_error_reports_probes_run(self):
+        net = make_network([1.5, 0.0], [4.0, 4.0], lb.MM1ChannelCommDelay(0.02, 2.0))
+        with pytest.raises(lb.ConvergenceError) as info:
+            lb.solve(net, lb.SolverConfig(max_outer=3))
+        message = str(info.value)
+        assert f"after {info.value.best.iterations} probes" in message
+        assert info.value.best.iterations == 3
+        assert "probe cap max_outer=3" in message
+        assert "last gap" in message
+
+    def test_wide_range_fuzz_gate(self):
+        # every instance must verify at 1e-8; a documented typed error would be
+        # admissible too, but the solver needs none on this set, so none is let through
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            net = wide_network(rng)
+            solution = lb.solve(net)
+            report = lb.verify_optimality(net, solution)
+            assert report.passed(), (net.service_rates, net.arrival_rates, net.comm, report)
