@@ -96,7 +96,7 @@ class MM1NodeDelay:
         """d/dbeta of beta * F(beta) = service_rate / (service_rate - beta)^2.
 
         Strictly increasing on [0, service_rate); equals F(0) at beta = 0.
-        Plain Python: the simulator's threshold router calls it per arrival.
+        Plain Python: the simulator's threshold score calls it per join and departure.
         """
         if beta < 0:
             raise ValueError(f"processing rate must be >= 0, got {beta}")

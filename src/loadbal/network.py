@@ -180,21 +180,9 @@ class NodePartition:
         return self.indices(NodeRole.SINK)
 
     @property
-    def active_sources(self) -> tuple[int, ...]:
-        return self.indices(NodeRole.ACTIVE_SOURCE)
-
-    @property
-    def idle_sources(self) -> tuple[int, ...]:
-        return self.indices(NodeRole.IDLE_SOURCE)
-
-    @property
     def sources(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles)
                      if r is NodeRole.IDLE_SOURCE or r is NodeRole.ACTIVE_SOURCE)
-
-    @property
-    def neutrals(self) -> tuple[int, ...]:
-        return self.indices(NodeRole.NEUTRAL)
 
     @property
     def relays(self) -> tuple[int, ...]:

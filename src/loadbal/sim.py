@@ -1,7 +1,8 @@
 """Seeded discrete-event simulation of the network under routing policies.
 
-One event loop drives every policy; policies only decide, per arriving
-job, which node serves it and what communication delay it pays.  All
+One event loop drives every policy through one router protocol: a
+policy scores each node, the engine keeps the scores current, and the
+router picks the serving node with one ``min`` (see ``_Engine``).  All
 randomness comes from a single numpy generator consumed in event order,
 so a seed pins the whole trace bit for bit.  Policies that do not use
 randomness for routing consume none, which makes e.g. the threshold
@@ -19,12 +20,15 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .network import FlowMatrix, Network, check_feasibility, processing_rates, relay_count
+from .network import FlowMatrix, Network, check_feasibility, relay_count
 
 #: two-sided 95% Student-t critical value at 19 degrees of freedom
 _T_CRIT_19 = 2.093024054408263
@@ -40,6 +44,10 @@ class Policy(Enum):
     DYNAMIC_THRESHOLD = "dynamic_threshold"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     total_jobs: int
@@ -48,8 +56,10 @@ class SimConfig:
     policy: Policy = Policy.STATIC_OPTIMAL
 
     def __post_init__(self) -> None:
-        if self.total_jobs < 1:
-            raise ValueError("total_jobs must be >= 1")
+        if not _is_int(self.total_jobs) or self.total_jobs < 1:
+            raise ValueError(f"total_jobs must be an integer >= 1, got {self.total_jobs!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
 
@@ -63,129 +73,120 @@ class SimReport:
 
 
 class _Job:
-    __slots__ = ("index", "submit", "join", "transferred", "comm_delay")
+    __slots__ = ("index", "join", "transferred", "comm_delay")
 
-    def __init__(self, index: int, submit: float):
+    def __init__(self, index: int):
         self.index = index
-        self.submit = submit
-        self.join = submit
         self.transferred = False
         self.comm_delay = 0.0
 
 
-class _StaticRouter:
+def _static_router(network: Network, flow: FlowMatrix):
     """Bernoulli splitting that realizes the fluid rates of a flow matrix.
 
-    Consumes one uniform per arrival at nodes that transfer anything;
-    arrivals at nodes with no outgoing flow consume none.  Transfers pay
-    the fixed mean delay G at the flow's total traffic.
+    Bisects one uniform per arrival into the node's cumulative split
+    probabilities; arrivals at nodes with no outgoing flow consume none.
+    Transfers pay the fixed mean delay G at the flow's total traffic.
     """
+    lam = flow.total_rate
+    comm = network.comm.delay(lam) if lam > 0 else 0.0
+    x = flow.matrix
+    splits = []
+    for i, node in enumerate(network.nodes):
+        targets = np.flatnonzero(x[i] > 0)
+        cum = np.cumsum(x[i, targets] / node.arrival_rate).tolist()
+        splits.append((cum, [(int(j), comm) for j in targets] + [(i, 0.0)]))
 
-    def __init__(self, network: Network, flow: FlowMatrix):
-        self._targets = []
-        self._cum = []
-        lam = flow.total_rate
-        self._comm = network.comm.delay(lam) if lam > 0 else 0.0
-        x = flow.matrix
-        for i in range(len(network)):
-            phi = network.nodes[i].arrival_rate
-            targets = [j for j in range(len(network)) if x[i, j] > 0]
-            self._targets.append(targets)
-            if targets:
-                self._cum.append(np.cumsum([x[i, j] / phi for j in targets]))
-            else:
-                self._cum.append(None)
-
-    def route(self, i: int, engine: "_Engine") -> tuple[int, float]:
-        targets = self._targets[i]
-        if not targets:
+    def route(engine: "_Engine", i: int) -> tuple[int, float]:
+        cum, choices = splits[i]
+        if not cum:
             return i, 0.0
-        u = engine.rng.random()
-        cum = self._cum[i]
-        for pos, j in enumerate(targets):
-            if u < cum[pos]:
-                return j, self._comm
+        return choices[bisect_right(cum, engine.rng.random())]
+
+    return route, None
+
+
+def _route_to_min(engine: "_Engine", i: int) -> tuple[int, float]:
+    scores = engine.scores
+    j = scores.index(min(scores))
+    if j == i:
         return i, 0.0
+    return j, engine.transfer_delay()
 
 
-class _QueueStateRouter:
+def _queue_state_router(network: Network, expected_delay: bool):
     """Shortest-queue / minimum-expected-delay routing; no randomness.
 
-    SQ picks the node with the fewest jobs in system, MED the node with
-    the smallest (jobs + 1) / service_rate.  Ties go to the lowest index;
-    a job only moves (and pays communication delay) if the winner is not
+    SQ scores a node by its jobs in system, MED by (jobs + 1) / service_rate.
+    A job only moves (and pays communication delay) if the best node is not
     its origin.
     """
-
-    def __init__(self, network: Network, expected_delay: bool):
-        self._mu = network.service_rates
-        self._expected_delay = expected_delay
-
-    def route(self, i: int, engine: "_Engine") -> tuple[int, float]:
-        if self._expected_delay:
-            scores = [(engine.in_system[j] + 1) / self._mu[j] for j in range(len(self._mu))]
-        else:
-            scores = engine.in_system
-        j = min(range(len(self._mu)), key=lambda k: (scores[k], k))
-        if j == i:
-            return i, 0.0
-        return j, engine.transfer_delay()
+    if not expected_delay:
+        return _route_to_min, lambda engine, j: len(engine.queues[j])
+    mu = network.service_rates.tolist()
+    return _route_to_min, lambda engine, j: (len(engine.queues[j]) + 1) / mu[j]
 
 
-class _ThresholdRouter:
+def _threshold_router(network: Network, low: float, high: float):
     """Sender-initiated threshold policy using the solver's two prices.
 
-    Each node carries a load estimate: jobs in system divided by a running
-    mean of observed sojourns (seeded with the bare service time before
-    any completion).  An arrival whose node estimates a marginal delay
-    above ``high`` is shipped to the node with the smallest estimated
-    marginal delay, provided that estimate sits below ``low``.
+    A node's score is its marginal delay at an estimated load: jobs in
+    system divided by a running mean of observed sojourns (seeded with the
+    bare service time before any completion).  An arrival whose node scores
+    above ``high`` is shipped to the best other node, provided that node
+    scores below ``low``.
     """
+    if low > high:
+        raise ValueError(f"thresholds must satisfy low <= high, got {low} > {high}")
+    delays = [node.delay for node in network.nodes]
+    mu = [delay.service_rate for delay in delays]
 
-    def __init__(self, network: Network, low: float, high: float):
-        if low > high:
-            raise ValueError(f"thresholds must satisfy low <= high, got {low} > {high}")
-        self._nodes = network.nodes
-        self._low = low
-        self._high = high
-
-    def _marginal(self, engine: "_Engine", j: int) -> float:
-        node = self._nodes[j]
-        mean_sojourn = engine.mean_sojourn(j, default=1.0 / node.delay.service_rate)
-        load = engine.in_system[j] / mean_sojourn
-        if load >= node.delay.service_rate:
+    def score(engine: "_Engine", j: int) -> float:
+        count = engine.sojourn_count[j]
+        mean_sojourn = engine.sojourn_sum[j] / count if count else 1.0 / mu[j]
+        load = len(engine.queues[j]) / mean_sojourn
+        if load >= mu[j]:
             return math.inf
-        return node.delay.marginal_delay(load)
+        return delays[j].marginal_delay(load)
 
-    def route(self, i: int, engine: "_Engine") -> tuple[int, float]:
-        if not self._marginal(engine, i) > self._high:
+    def route(engine: "_Engine", i: int) -> tuple[int, float]:
+        scores = engine.scores
+        own = scores[i]
+        if not own > high:
             return i, 0.0
-        n = len(self._nodes)
-        candidates = [(self._marginal(engine, j), j) for j in range(n) if j != i]
-        if not candidates:
-            return i, 0.0
-        best_val, best_j = min(candidates)
-        if best_val < self._low:
-            return best_j, engine.transfer_delay()
+        scores[i] = math.inf  # the origin is no candidate
+        best = min(scores)
+        j = scores.index(best)
+        scores[i] = own
+        if best < low:
+            return j, engine.transfer_delay()
         return i, 0.0
+
+    return route, score
 
 
 class _Engine:
-    """Event loop shared by all policies."""
+    """Event loop shared by all policies.
+
+    ``router`` is a ``(route, score)`` pair.  The engine recomputes
+    ``scores[j] = score(engine, j)`` whenever a job joins or leaves node j;
+    ``route(engine, i)`` returns the serving node of a job arriving at i,
+    and its communication delay, from one ``min`` over ``scores`` (ties go
+    to the lowest index).  Static routing has no score.
+    """
 
     def __init__(self, network: Network, cfg: SimConfig, router):
         self.network = network
         self.cfg = cfg
-        self.router = router
+        self._route, self._score = router
         self.rng = np.random.default_rng(cfg.seed)
         n = len(network)
         self.now = 0.0
-        self.in_system = [0] * n
-        self._queues: list[list[_Job]] = [[] for _ in range(n)]
+        self.queues: list[deque[_Job]] = [deque() for _ in range(n)]
         self._busy_since: list[float | None] = [None] * n
         self._busy_time = [0.0] * n
-        self._sojourn_sum = [0.0] * n
-        self._sojourn_count = [0] * n
+        self.sojourn_sum = [0.0] * n
+        self.sojourn_count = [0] * n
         self._heap: list[tuple] = []
         self._seq = 0
         self._scheduled = 0
@@ -196,13 +197,9 @@ class _Engine:
         self._responses: list[float] = []       # per counted job: sojourn at the serving node
         self._comm_delays: list[float] = []     # per counted job: comm delay (0 if local)
         self._measured_transfers = 0
+        self.scores = [] if self._score is None else [self._score(self, j) for j in range(n)]
 
     # -- policy-visible state ------------------------------------------------
-
-    def mean_sojourn(self, j: int, default: float) -> float:
-        if self._sojourn_count[j] == 0:
-            return default
-        return self._sojourn_sum[j] / self._sojourn_count[j]
 
     def transfer_delay(self) -> float:
         """Mean interconnect delay at the running empirical transfer rate."""
@@ -244,12 +241,12 @@ class _Engine:
         return self._report()
 
     def _on_arrival(self, i: int) -> None:
-        job = _Job(self._arrived, self.now)
+        job = _Job(self._arrived)
         self._arrived += 1
         if job.index == self._cutoff and self._window_start is None:
             self._window_start = self.now
         self._schedule_arrival(i)
-        target, comm_delay = self.router.route(i, self)
+        target, comm_delay = self._route(self, i)
         if target != i:
             job.transferred = True
             job.comm_delay = comm_delay
@@ -260,8 +257,9 @@ class _Engine:
 
     def _on_join(self, j: int, job: _Job) -> None:
         job.join = self.now
-        self.in_system[j] += 1
-        self._queues[j].append(job)
+        self.queues[j].append(job)
+        if self._score is not None:
+            self.scores[j] = self._score(self, j)
         if self._busy_since[j] is None:
             self._start_service(j)
 
@@ -271,11 +269,12 @@ class _Engine:
         self._push(self.now + service, _DEPART, j, None)
 
     def _on_depart(self, j: int) -> None:
-        job = self._queues[j].pop(0)
-        self.in_system[j] -= 1
+        job = self.queues[j].popleft()
         sojourn = self.now - job.join
-        self._sojourn_sum[j] += sojourn
-        self._sojourn_count[j] += 1
+        self.sojourn_sum[j] += sojourn
+        self.sojourn_count[j] += 1
+        if self._score is not None:
+            self.scores[j] = self._score(self, j)
         if job.index >= self._cutoff:
             self._responses.append(sojourn)
             self._comm_delays.append(job.comm_delay)
@@ -284,7 +283,7 @@ class _Engine:
         start = self._busy_since[j]
         if self._window_start is not None:
             self._busy_time[j] += max(0.0, self.now - max(start, self._window_start))
-        if self._queues[j]:
+        if self.queues[j]:
             self._start_service(j)
         else:
             self._busy_since[j] = None
@@ -342,12 +341,9 @@ def simulate_static(network: Network, flow: FlowMatrix, cfg: SimConfig) -> SimRe
     report = check_feasibility(network, flow)
     if not report.feasible:
         raise ValueError("infeasible flow: " + "; ".join(report.violations))
-    beta = processing_rates(network, flow)
-    if np.any(beta >= network.service_rates):
-        raise ValueError("assignment saturates a node")
     if relay_count(flow) > 0:
         raise ValueError("flow contains relay nodes; eliminate them first")
-    return _Engine(network, cfg, _StaticRouter(network, flow)).run()
+    return _Engine(network, cfg, _static_router(network, flow)).run()
 
 
 def simulate_dynamic(network: Network, thresholds: tuple[float, float], cfg: SimConfig) -> SimReport:
@@ -359,7 +355,7 @@ def simulate_dynamic(network: Network, thresholds: tuple[float, float], cfg: Sim
     the same seed.
     """
     low, high = thresholds
-    return _Engine(network, cfg, _ThresholdRouter(network, low, high)).run()
+    return _Engine(network, cfg, _threshold_router(network, low, high)).run()
 
 
 def simulate(network: Network, cfg: SimConfig, *, flow: FlowMatrix | None = None,
@@ -375,5 +371,4 @@ def simulate(network: Network, cfg: SimConfig, *, flow: FlowMatrix | None = None
         if thresholds is None:
             raise ValueError("dynamic_threshold needs (low, high) thresholds")
         return simulate_dynamic(network, thresholds, cfg)
-    expected_delay = cfg.policy is Policy.MED
-    return _Engine(network, cfg, _QueueStateRouter(network, expected_delay)).run()
+    return _Engine(network, cfg, _queue_state_router(network, cfg.policy is Policy.MED)).run()

@@ -432,7 +432,8 @@ class KktReport:
     apply — the effective surcharge for the first transferred unit is
     unbounded — so the certificate is the recorded objective comparison
     instead, reported in ``override_margin`` (how much the returned
-    objective beats the interior candidate by; nonnegative is good).
+    objective beats the interior candidate by; nonnegative is good, and
+    an override whose own objective is inf gets -inf).
     """
 
     sink_price: float
@@ -508,7 +509,9 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     margin = None
     if solution.no_transfer_override:
         margin = 0.0
-        if solution.interior_objective is not None and np.isfinite(solution.interior_objective):
+        if not np.isfinite(solution.objective):
+            margin = -np.inf  # an inf objective certifies nothing, whatever it is compared to
+        elif solution.interior_objective is not None and np.isfinite(solution.interior_objective):
             margin = float(solution.interior_objective - solution.objective)
 
     return KktReport(

@@ -158,6 +158,22 @@ class TestSimulate:
         assert main(["simulate", asym_config, "--policy", "launch_more_servers"]) == 2
         assert "policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sim, args", [
+        ('{"seed": 1.5}', []),
+        ('{"seed": -1}', []),
+        ('{"seed": false}', []),
+        ('{}', ["--seed", "-1"]),
+        ('{"total_jobs": 1e400}', []),
+        ('{"total_jobs": 1000.5}', []),
+        ('{"total_jobs": true}', []),
+    ], ids=["seed-float", "seed-negative", "seed-bool", "cli-seed-negative", "jobs-inf", "jobs-float", "jobs-bool"])
+    def test_malformed_sim_settings_exit_2(self, tmp_path, capsys, sim, args):
+        path = tmp_path / "sim.json"
+        path.write_text('{"nodes": [{"id": "a", "arrival_rate": 1.0, "service_rate": 4.0}], '
+                        '"comm": {"model": "constant", "params": {"t": 0.05}}, "sim": ' + sim + '}')
+        assert main(["simulate", str(path), "--policy", "no_balancing", *args]) == 2
+        assert "sim:" in capsys.readouterr().err
+
     def test_all_policies_run(self, asym_config, tmp_path):
         for policy in ("no_balancing", "sq", "med", "dynamic_threshold"):
             assert main(["simulate", asym_config, "--policy", policy, "--jobs", "2000",

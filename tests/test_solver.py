@@ -221,6 +221,16 @@ class TestVerifyOptimality:
         assert report.override_margin >= 0.0
         assert report.worst() < 1e-8
 
+    def test_inf_objective_override_fails(self):
+        # arrivals within rounding of capacity: node 1 is overloaded, so keeping load local is inf
+        net = make_network([0.10292525252525252, 0.9810747474747474], [0.255, 0.829], lb.ConstantCommDelay(0.0))
+        solution = lb.solver._no_transfer_solution(net, iterations=0, interior_objective=None)
+        assert solution.no_transfer_override
+        assert solution.objective == np.inf
+        report = lb.verify_optimality(net, solution)
+        assert report.override_margin == -np.inf
+        assert not report.passed()
+
 
 def bisect_alpha(net, comm_price, steps=200):
     """Reference for the price search: bisection on the residual's sign, to the last float."""
