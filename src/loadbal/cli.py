@@ -8,6 +8,9 @@ Commands::
     loadbal simulate CONFIG [--policy P] [--jobs N] [--seed S] [--out FILE]
     loadbal sweep    CONFIG --param PATH --from A --to B --steps K [--out FILE] [--parallel N]
 
+Each command reads its config file once.  ``sweep`` solves its points one after
+another, each writing its value into that one config; ``--parallel`` has no effect.
+
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 non-convergence.
 ``LOADBAL_LOG={error|info|debug}`` controls diagnostics on standard error.
 All outputs are deterministic for identical inputs and seeds.
@@ -20,17 +23,18 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 
 from . import __version__
-from .config import ConfigError, Scenario, load_config, network_to_config, parse_config, sim_config
+from .config import ConfigError, Scenario, network_to_config, parse_config, read_config, sim_config
 from .network import Network, UnstableNetworkError
 from .flows import synthesize_flows
-from .oracle import brute_force_optimum, compare_solutions
+from .oracle import OracleResult, brute_force_optimum, compare_solutions
 from .sim import Policy, simulate
-from .solver import ConvergenceError, OptimalSolution, SolverConfig, solve, verify_optimality
+from .solver import ConvergenceError, OptimalSolution, solve, verify_optimality
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -40,6 +44,10 @@ EXIT_NO_CONVERGENCE = 3
 log = logging.getLogger("loadbal")
 
 
+class _UsageError(Exception):
+    """Input a command cannot run on that is not a config field's fault (a flag, the oracle's size cap)."""
+
+
 def _setup_logging() -> None:
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("LOADBAL_LOG", "error").lower(), logging.ERROR
@@ -47,54 +55,49 @@ def _setup_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _load(path: str) -> Scenario:
-    scenario = load_config(path)
+def _load(path: str) -> tuple[dict, Scenario]:
+    """The config file's decoded JSON and the scenario parsed from it."""
+    data = read_config(path)
+    scenario = parse_config(data)
     log.info("loaded %s: %d nodes, comm %s", path, len(scenario.network), type(scenario.network.comm).__name__)
-    return scenario
+    return data, scenario
 
 
-def _solver_config(scenario: Scenario, tol: float | None) -> SolverConfig:
-    if tol is None:
-        return scenario.solver
-    return SolverConfig(alpha_tol=tol, lambda_tol=scenario.solver.lambda_tol, max_outer=scenario.solver.max_outer)
+def _mean_response(network: Network, solution: OptimalSolution) -> float:
+    phi_total = network.total_arrival_rate
+    return solution.objective / phi_total if phi_total else 0.0
+
+
+def _emit_csv(rows: list[list], out: str | None) -> None:
+    """Print ``rows`` as CSV and, with ``--out``, write the same bytes to that file."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    text = buf.getvalue()
+    print(text, end="")
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
 
 
 def _solution_report(network: Network, solution: OptimalSolution) -> dict:
     flow = synthesize_flows(network, solution.partition, solution.allocation.rates)
     kkt = verify_optimality(network, solution)
-    phi_total = network.total_arrival_rate
     return {
         "config": network_to_config(network),
         "nodes": [
-            {
-                "id": node.id,
-                "role": solution.partition.roles[i].value,
-                "arrival_rate": node.arrival_rate,
-                "beta": solution.allocation.rates[i],
-                "marginal_delay": node.delay.marginal_delay(solution.allocation.rates[i]),
-            }
-            for i, node in enumerate(network.nodes)
+            {"id": node.id, "role": role.value, "arrival_rate": node.arrival_rate, "beta": beta,
+             "marginal_delay": node.delay.marginal_delay(beta)}
+            for node, role, beta in zip(network.nodes, solution.partition.roles, solution.allocation.rates)
         ],
         "alpha": solution.alpha,
         "lambda": solution.allocation.transfer_rate,
         "comm_price": solution.comm_price,
-        "mean_response_time": solution.objective / phi_total if phi_total else 0.0,
+        "mean_response_time": _mean_response(network, solution),
         "aggregate_objective": solution.objective,
         "no_transfer_override": solution.no_transfer_override,
         "iterations": solution.iterations,
         "flow": flow.matrix.tolist(),
-        "kkt": {
-            "sink_price": kkt.sink_price,
-            "source_price": kkt.source_price,
-            "neutral_band": kkt.neutral_band,
-            "idle_bound": kkt.idle_bound,
-            "mass_balance": kkt.mass_balance,
-            "transfer_identity": kkt.transfer_identity,
-            "comm_price_consistency": kkt.comm_price_consistency,
-            "structure_ok": kkt.structure_ok,
-            "override_margin": kkt.override_margin,
-            "worst": kkt.worst(),
-        },
+        "kkt": {**asdict(kkt), "worst": kkt.worst()},
     }
 
 
@@ -111,40 +114,47 @@ def _print_solution(report: dict) -> None:
         print("note: no-transfer assignment kept; the interconnect's fixed cost outweighs balancing")
 
 
-def _write_solution_csv(report: dict, stream) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["node_id", "role", "beta", "phi", "marginal_delay"])
-    for row in report["nodes"]:
-        writer.writerow([row["id"], row["role"], repr(row["beta"]),
-                         repr(row["arrival_rate"]), repr(row["marginal_delay"])])
-
-
 def cmd_solve(args) -> int:
-    scenario = _load(args.config)
-    solution = solve(scenario.network, _solver_config(scenario, args.tol))
+    _, scenario = _load(args.config)
+    solver = scenario.solver
+    if args.tol is not None:
+        try:
+            solver = replace(solver, alpha_tol=args.tol)
+        except ValueError as exc:
+            raise _UsageError(f"--tol: {exc}") from exc
+    solution = solve(scenario.network, solver)
     report = _solution_report(scenario.network, solution)
     _print_solution(report)
-    if args.out:
-        if args.format == "csv":
-            with open(args.out, "w", newline="") as fh:
-                _write_solution_csv(report, fh)
-        else:
-            with open(args.out, "w") as fh:
-                json.dump(report, fh, indent=2)
-                fh.write("\n")
+    if args.out and args.format == "csv":
+        with open(args.out, "w", newline="") as fh:
+            csv.writer(fh).writerows([["node_id", "role", "beta", "phi", "marginal_delay"]] + [
+                [row["id"], row["role"], repr(row["beta"]), repr(row["arrival_rate"]),
+                 repr(row["marginal_delay"])] for row in report["nodes"]])
+    elif args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     return EXIT_OK
 
 
+def _solve_with_oracle(args) -> tuple[Network, OptimalSolution, OracleResult]:
+    """The network of ``oracle`` or ``check``, its solution and its brute-force optimum."""
+    _, scenario = _load(args.config)
+    n = len(scenario.network)
+    if n > 5:
+        raise _UsageError(f"oracle handles at most 5 nodes, config has {n}")
+    try:
+        result = brute_force_optimum(scenario.network, grid=args.grid, refine_rounds=args.refine)
+    except ValueError as exc:  # --grid or --refine out of range
+        raise _UsageError(str(exc)) from exc
+    return scenario.network, solve(scenario.network, scenario.solver), result
+
+
 def cmd_oracle(args) -> int:
-    scenario = _load(args.config)
-    if len(scenario.network) > 5:
-        print(f"error: oracle handles at most 5 nodes, config has {len(scenario.network)}", file=sys.stderr)
-        return EXIT_INPUT
-    result = brute_force_optimum(scenario.network, grid=args.grid, refine_rounds=args.refine)
-    solution = solve(scenario.network, scenario.solver)
-    comparison = compare_solutions(solution, result, scenario.network)
+    network, solution, result = _solve_with_oracle(args)
+    comparison = compare_solutions(solution, result, network)
     print(f"{'node':<12} {'beta':>12} {'net_transfer':>14}")
-    for i, node in enumerate(scenario.network.nodes):
+    for i, node in enumerate(network.nodes):
         print(f"{node.id:<12} {result.allocation.rates[i]:>12.6f} {result.net_transfers[i]:>14.6f}")
     print(f"objective          {result.objective:.10f}")
     print(f"lambda             {result.allocation.transfer_rate:.10f}")
@@ -154,14 +164,9 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_check(args) -> int:
-    scenario = _load(args.config)
-    if len(scenario.network) > 5:
-        print(f"error: oracle handles at most 5 nodes, config has {len(scenario.network)}", file=sys.stderr)
-        return EXIT_INPUT
-    solution = solve(scenario.network, scenario.solver)
-    result = brute_force_optimum(scenario.network, grid=args.grid, refine_rounds=args.refine)
-    comparison = compare_solutions(solution, result, scenario.network, objective_tol=1e-5)
-    kkt = verify_optimality(scenario.network, solution)
+    network, solution, result = _solve_with_oracle(args)
+    comparison = compare_solutions(solution, result, network, objective_tol=1e-5)
+    kkt = verify_optimality(network, solution)
     print(f"solver objective   {solution.objective:.10f}")
     print(f"oracle objective   {result.objective:.10f}")
     print(f"gap                {comparison.objective_gap:.3e}")
@@ -175,29 +180,20 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args.config)
+    _, scenario = _load(args.config)
     cfg = sim_config(scenario, jobs=args.jobs, seed=args.seed, policy=args.policy)
     network = scenario.network
-    flow = None
-    thresholds = None
+    flow = thresholds = None
     if cfg.policy is Policy.STATIC_OPTIMAL or cfg.policy is Policy.DYNAMIC_THRESHOLD:
         solution = solve(network, scenario.solver)
         flow = synthesize_flows(network, solution.partition, solution.allocation.rates)
         thresholds = (solution.alpha, solution.alpha + solution.comm_price)
     report = simulate(network, cfg, flow=flow, thresholds=thresholds)
-    rows = [
+    _emit_csv([
         ["policy", "seed", "jobs", "mean_response", "ci_halfwidth", "transfers"],
         [cfg.policy.value, cfg.seed, cfg.total_jobs,
          repr(report.mean_response_time), repr(report.ci_halfwidth), report.transfer_count],
-    ]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    ], args.out)
     return EXIT_OK
 
 
@@ -227,49 +223,32 @@ def _config_key(target, part: str, path: str):
     raise ConfigError(f"param path {path!r}: no such field {part!r}")
 
 
-def _sweep_row(base: dict, path: str, value: float, solver: SolverConfig) -> list:
-    data = json.loads(json.dumps(base))
+def _sweep_row(data: dict, path: str, value: float) -> list:
+    """Write ``value`` at ``path`` into ``data`` (over the last point's value) and solve it."""
     _set_config_path(data, path, value)
     try:
         scenario = parse_config(data)
-        solution = solve(scenario.network, solver)
-    except (ConfigError, UnstableNetworkError) as exc:
+        solution = solve(scenario.network, scenario.solver)
+    except ConfigError as exc:
         # parse_config wraps the network's UnstableNetworkError in a ConfigError
-        unstable = isinstance(exc, UnstableNetworkError) or isinstance(exc.__cause__, UnstableNetworkError)
-        return [repr(value), "nan", "nan", "nan", "unstable" if unstable else "invalid"]
+        label = "unstable" if isinstance(exc.__cause__, UnstableNetworkError) else "invalid"
+        return [repr(value), "nan", "nan", "nan", label]
     except ConvergenceError:
         return [repr(value), "nan", "nan", "nan", "no_convergence"]
-    phi_total = scenario.network.total_arrival_rate
-    mean = solution.objective / phi_total if phi_total else 0.0
     return [repr(value), repr(solution.alpha), repr(solution.allocation.transfer_rate),
-            repr(mean), solution.partition.compact()]
+            repr(_mean_response(scenario.network, solution)), solution.partition.compact()]
 
 
 def cmd_sweep(args) -> int:
-    scenario = _load(args.config)
-    with open(args.config) as fh:
-        base = json.load(fh)
+    data, _ = _load(args.config)  # a config that is invalid before any point is set exits 2
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return EXIT_INPUT
+        raise _UsageError("--steps must be >= 2")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise _UsageError(f"--from and --to must be finite, got {args.start!r} and {args.stop!r}")
     values = [args.start + (args.stop - args.start) * k / (args.steps - 1) for k in range(args.steps)]
-    # validate the path once up front so typos fail fast
-    probe = json.loads(json.dumps(base))
-    _set_config_path(probe, args.param, values[0])
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(base, args.param, v, scenario.solver), values))
-    else:
-        rows = [_sweep_row(base, args.param, v, scenario.solver) for v in values]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["param_value", "alpha", "lambda", "mean_response", "roles"])
-    writer.writerows(rows)
-    text = buf.getvalue()
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+    # the first point's assignment rejects a bad --param before anything is solved
+    rows = [_sweep_row(data, args.param, v) for v in values]
+    _emit_csv([["param_value", "alpha", "lambda", "mean_response", "roles"], *rows], args.out)
     return EXIT_OK
 
 
@@ -277,29 +256,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loadbal", description="Optimal static load allocation toolkit")
     parser.add_argument("--version", action="version", version=f"loadbal {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("config")
 
-    p = sub.add_parser("solve", help="solve a scenario and report the allocation")
-    p.add_argument("config")
+    p = sub.add_parser("solve", parents=[config], help="solve a scenario and report the allocation")
     p.add_argument("--tol", type=float, default=None,
                    help="alpha_tol override: the relative alpha step at which the price search stops")
     p.add_argument("--out", default=None, help="write the report to this file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("oracle", help="brute-force optimum (n <= 5) and gap to the solver")
-    p.add_argument("config")
-    p.add_argument("--grid", type=int, default=201)
-    p.add_argument("--refine", type=int, default=6)
-    p.set_defaults(func=cmd_oracle)
+    for name, func, about in (("oracle", cmd_oracle, "brute-force optimum (n <= 5) and gap to the solver"),
+                              ("check", cmd_check, "solve + oracle + compare; nonzero exit on disagreement")):
+        p = sub.add_parser(name, parents=[config], help=about)
+        p.add_argument("--grid", type=int, default=201)
+        p.add_argument("--refine", type=int, default=6)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("check", help="solve + oracle + compare; nonzero exit on disagreement")
-    p.add_argument("config")
-    p.add_argument("--grid", type=int, default=201)
-    p.add_argument("--refine", type=int, default=6)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("simulate", help="discrete-event simulation under a routing policy")
-    p.add_argument("config")
+    p = sub.add_parser("simulate", parents=[config], help="discrete-event simulation under a routing policy")
     p.add_argument("--policy", default=None,
                    help="static_optimal, no_balancing, sq, med or dynamic_threshold")
     p.add_argument("--jobs", type=int, default=None)
@@ -307,29 +281,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="re-solve while sweeping one numeric config field")
-    p.add_argument("config")
+    p = sub.add_parser("sweep", parents=[config], help="re-solve while sweeping one numeric config field")
     p.add_argument("--param", required=True, help="dotted path, e.g. comm.params.t or nodes.0.arrival_rate")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--parallel", type=int, default=1)
+    p.add_argument("--parallel", type=int, default=1,
+                   help="accepted for old command lines; has no effect, points are solved one after another")
     p.set_defaults(func=cmd_sweep)
     return parser
 
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except UnstableNetworkError as exc:
-        print(f"error: unstable network: {exc}", file=sys.stderr)
+    except (_UsageError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -337,9 +310,6 @@ def main(argv=None) -> int:
             print(f"best iterate: lambda={exc.best.allocation.transfer_rate!r} "
                   f"alpha={exc.best.alpha!r} objective={exc.best.objective!r}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .delays import (
@@ -58,6 +58,21 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _required_number(data: dict, key: str, path: str) -> float:
+    return _number(_require(data, key, path), f"{path}.{key}")
+
+
+def _section(data: dict, name: str, settings) -> dict:
+    """The optional ``name`` object of the config, holding only fields of the ``settings`` dataclass."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: expected an object")
+    unknown = set(section) - {field.name for field in fields(settings)}
+    if unknown:
+        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown field")
+    return section
+
+
 def _comm_from_config(data, path: str) -> CommDelayModel:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -67,12 +82,10 @@ def _comm_from_config(data, path: str) -> CommDelayModel:
         raise ConfigError(f"{path}.params: expected an object")
     try:
         if model == "constant":
-            return ConstantCommDelay(transfer_time=_number(_require(params, "t", f"{path}.params"), f"{path}.params.t"))
+            return ConstantCommDelay(transfer_time=_required_number(params, "t", f"{path}.params"))
         if model == "mm1_channel":
-            return MM1ChannelCommDelay(
-                transfer_time=_number(_require(params, "t", f"{path}.params"), f"{path}.params.t"),
-                capacity=_number(_require(params, "capacity", f"{path}.params"), f"{path}.params.capacity"),
-            )
+            return MM1ChannelCommDelay(transfer_time=_required_number(params, "t", f"{path}.params"),
+                                       capacity=_required_number(params, "capacity", f"{path}.params"))
         if model == "polynomial":
             coeffs = _require(params, "coefficients", f"{path}.params")
             if not isinstance(coeffs, list):
@@ -101,8 +114,8 @@ def parse_config(data: dict) -> Scenario:
         node_id = _require(nd, "id", path)
         if not isinstance(node_id, str):
             raise ConfigError(f"{path}.id: expected a string")
-        arrival = _number(_require(nd, "arrival_rate", path), f"{path}.arrival_rate")
-        service = _number(_require(nd, "service_rate", path), f"{path}.service_rate")
+        arrival = _required_number(nd, "arrival_rate", path)
+        service = _required_number(nd, "service_rate", path)
         try:
             nodes.append(Node(id=node_id, arrival_rate=arrival, delay=MM1NodeDelay(service_rate=service)))
         except ValueError as exc:
@@ -113,38 +126,30 @@ def parse_config(data: dict) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
 
-    solver_data = data.get("solver", {})
-    if not isinstance(solver_data, dict):
-        raise ConfigError("solver: expected an object")
-    allowed = {"alpha_tol", "lambda_tol", "max_outer"}
-    unknown = set(solver_data) - allowed
-    if unknown:
-        raise ConfigError(f"solver.{sorted(unknown)[0]}: unknown field")
+    solver_data = _section(data, "solver", SolverConfig)
     try:
         solver = SolverConfig(**solver_data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    sim_data = data.get("sim", {})
-    if not isinstance(sim_data, dict):
-        raise ConfigError("sim: expected an object")
-    sim_allowed = {"total_jobs", "seed", "warmup_fraction", "policy"}
-    sim_unknown = set(sim_data) - sim_allowed
-    if sim_unknown:
-        raise ConfigError(f"sim.{sorted(sim_unknown)[0]}: unknown field")
+    sim_data = _section(data, "sim", SimConfig)
     if "policy" in sim_data:
         policy_from_name(sim_data["policy"], path="sim.policy")
     return Scenario(network=network, solver=solver, sim=dict(sim_data))
 
 
-def load_config(path: str | Path) -> Scenario:
+def read_config(path: str | Path):
+    """The decoded JSON of a config file, not yet validated."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_config(data)
+
+
+def load_config(path: str | Path) -> Scenario:
+    return parse_config(read_config(path))
 
 
 def policy_from_name(name, path: str = "policy") -> Policy:
@@ -157,17 +162,11 @@ def policy_from_name(name, path: str = "policy") -> Policy:
 
 def sim_config(scenario: Scenario, *, jobs: int | None = None, seed: int | None = None,
                policy: str | None = None) -> SimConfig:
-    """Merge the scenario's sim section with CLI overrides."""
-    raw = dict(scenario.sim)
-    if jobs is not None:
-        raw["total_jobs"] = jobs
-    if seed is not None:
-        raw["seed"] = seed
-    if policy is not None:
-        raw["policy"] = policy
-    raw.setdefault("total_jobs", 100_000)
-    raw.setdefault("seed", 1)
-    raw["policy"] = policy_from_name(raw.get("policy", Policy.STATIC_OPTIMAL.value))
+    """Merge the scenario's sim section with CLI overrides; ``SimConfig`` has the default policy."""
+    flags = {"total_jobs": jobs, "seed": seed, "policy": policy}
+    raw = {"total_jobs": 100_000, "seed": 1, **scenario.sim, **{k: v for k, v in flags.items() if v is not None}}
+    if "policy" in raw:
+        raw["policy"] = policy_from_name(raw["policy"])
     try:
         return SimConfig(**raw)
     except (TypeError, ValueError) as exc:

@@ -58,6 +58,8 @@ def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 
         raise ValueError(f"oracle handles at most 5 nodes, got {n}")
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be >= 0, got {refine_rounds}")
     phi = network.arrival_rates
     mu = network.service_rates
     best_val = float(objective(network, phi, 0.0))

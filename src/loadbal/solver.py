@@ -35,6 +35,8 @@ answer.
 from __future__ import annotations
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,12 +69,14 @@ class SolverConfig:
     max_outer: int = 200
 
     def __post_init__(self) -> None:
-        if self.alpha_tol <= 0:
-            raise ValueError("alpha_tol must be > 0")
-        if self.lambda_tol is not None and self.lambda_tol <= 0:
-            raise ValueError("lambda_tol must be > 0")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be >= 1")
+        for name, value in (("alpha_tol", self.alpha_tol), ("lambda_tol", self.lambda_tol)):
+            if value is None and name == "lambda_tol":
+                continue  # None picks a tolerance relative to the arrivals
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        max_outer = self.max_outer
+        if isinstance(max_outer, bool) or not isinstance(max_outer, numbers.Integral) or max_outer < 1:
+            raise ValueError(f"max_outer must be an integer >= 1, got {max_outer!r}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,11 @@ class OptimalSolution:
 
 
 class ConvergenceError(RuntimeError):
-    """The fixed point on the transfer traffic did not settle.
+    """The solver found no answer it can certify.
 
-    Carries the best iterate so callers can inspect or report it.
+    Either the fixed point on the transfer traffic did not settle, or total
+    arrivals lie within rounding of the capacity that can absorb them.  Carries
+    the best iterate, where there is one, so callers can inspect or report it.
     """
 
     def __init__(self, message: str, best: OptimalSolution | None = None):
@@ -246,6 +252,25 @@ def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: 
             if step <= alpha_tol * root:
                 break
     return min(max(root, left), right)
+
+
+def _check_price_resolution(network: Network, solution: OptimalSolution) -> None:
+    """Raise unless float64 resolves the price of every sink and active source to 1e-8.
+
+    Rounding beta moves the price mu / (mu - beta)^2 by up to eps * mu / (mu - beta) relative,
+    and 1e-8 is what :func:`verify_optimality` certifies by default.
+    """
+    roles = np.array(solution.partition.roles)
+    mu = network.service_rates
+    headroom = mu - np.asarray(solution.allocation.rates)
+    priced = (roles == NodeRole.SINK) | (roles == NodeRole.ACTIVE_SOURCE)
+    blurred = np.flatnonzero(priced & (np.finfo(float).eps * mu > 1e-8 * headroom))
+    if blurred.size:
+        i = blurred[0]
+        raise ConvergenceError(
+            f"no finite alpha certifies the load: node {network.nodes[i].id!r} would run {headroom[i]:.3g} "
+            f"below its capacity {mu[i]:.6g}, where rounding blurs its marginal delay by more than 1e-8; "
+            f"total arrivals are within rounding of the capacity that can absorb them", best=solution)
 
 
 def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarray) -> tuple[float, float]:
@@ -415,7 +440,10 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
         )
 
     no_transfer = _no_transfer_solution(network, len(probes), interior_objective=interior.objective)
-    if interior.allocation.transfer_rate > 0 and interior.objective < no_transfer.objective:
+    # a no-transfer answer whose objective is inf certifies nothing, so then the interior is the answer
+    if interior.allocation.transfer_rate > 0 and (interior.objective < no_transfer.objective
+                                                  or no_transfer.objective == np.inf):
+        _check_price_resolution(network, interior)
         return interior
     if no_transfer.no_transfer_override and interior.allocation.transfer_rate == 0:
         # interior converged to no transfers on its own; the band must hold

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,26 @@ class TestSolve:
         assert main(["solve", path]) == 3
         assert "best iterate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver, args, message", [
+        ({"lambda_tol": math.nan, "max_outer": 2}, [], "lambda_tol must be a finite number > 0"),
+        ({"max_outer": True}, [], "max_outer must be an integer >= 1, got True"),
+        ({"max_outer": 2.5}, [], "max_outer must be an integer >= 1, got 2.5"),
+        ({"alpha_tol": math.inf}, [], "alpha_tol must be a finite number > 0"),
+        ({}, ["--tol", "0"], "--tol: alpha_tol must be a finite number > 0"),
+    ], ids=["lambda-tol-nan", "max-outer-bool", "max-outer-float", "alpha-tol-inf", "cli-tol-zero"])
+    def test_malformed_solver_settings_exit_2(self, tmp_path, capsys, solver, args, message):
+        # the channel scenario of test_non_convergence_exit_3, whose gate a NaN tolerance switched off
+        path = write_config(tmp_path / "chan.json", {
+            "nodes": [
+                {"id": "a", "arrival_rate": 1.5, "service_rate": 4.0},
+                {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0},
+            ],
+            "comm": {"model": "mm1_channel", "params": {"t": 0.02, "capacity": 2.0}},
+            "solver": solver,
+        })
+        assert main(["solve", path, *args]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestOracleAndCheck:
     def test_oracle_gap(self, asym_config, capsys):
@@ -140,6 +161,21 @@ class TestOracleAndCheck:
         })
         assert main(["oracle", path]) == 2
         assert main(["check", path]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "{config}", "--grid", "1"], "grid must be >= 2, got 1"),
+        (["check", "{config}", "--grid", "1"], "grid must be >= 2, got 1"),
+        (["check", "{config}", "--refine", "-1"], "refine_rounds must be >= 0, got -1"),
+        (["sweep", "{config}", "--param", "comm.params.t", "--from", "nan", "--to", "0.3", "--steps", "3"],
+         "--from and --to must be finite"),
+        (["sweep", "{config}", "--param", "comm.params.t", "--from", "0", "--to", "inf", "--steps", "3"],
+         "--from and --to must be finite"),
+    ], ids=["oracle-grid-1", "check-grid-1", "check-refine-negative", "sweep-from-nan", "sweep-to-inf"])
+    def test_bad_search_flags_exit_2(self, asym_config, capsys, argv, message):
+        assert main([arg.format(config=asym_config) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestSimulate:
@@ -276,3 +312,45 @@ class TestDeterminism:
                   "--from", "0.0", "--to", "0.1", "--steps", "3", "--out", str(swp)])
             pairs.append((sol.read_bytes(), sim.read_bytes(), swp.read_bytes()))
         assert pairs[0] == pairs[1]
+
+
+@pytest.fixture
+def channel_config(tmp_path):
+    return write_config(tmp_path / "channel.json", {
+        "nodes": [
+            {"id": "a", "arrival_rate": 1.5, "service_rate": 4.0},
+            {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0},
+        ],
+        "comm": {"model": "mm1_channel", "params": {"t": 0.02, "capacity": 2.0}},
+    })
+
+
+#: name -> (config fixture, argv with {config} and {out} placeholders); outputs in golden_cli.json
+GOLDEN_RUNS = {
+    "solve-json": ("asym_config", ["solve", "{config}", "--out", "{out}"]),
+    "solve-csv": ("asym_config", ["solve", "{config}", "--out", "{out}", "--format", "csv"]),
+    "oracle": ("asym_config", ["oracle", "{config}"]),
+    "check": ("asym_config", ["check", "{config}"]),
+    "simulate": ("asym_config", ["simulate", "{config}", "--policy", "static_optimal", "--out", "{out}"]),
+    "sweep": ("asym_config", ["sweep", "{config}", "--param", "comm.params.t",
+                              "--from", "0.0", "--to", "0.3", "--steps", "7", "--out", "{out}"]),
+    "sweep-parallel": ("asym_config", ["sweep", "{config}", "--param", "comm.params.t", "--from", "0.0",
+                                       "--to", "0.3", "--steps", "7", "--out", "{out}", "--parallel", "3"]),
+    "sweep-unstable": ("asym_config", ["sweep", "{config}", "--param", "nodes.0.arrival_rate",
+                                       "--from", "1.0", "--to", "9.0", "--steps", "5", "--out", "{out}"]),
+    "sweep-invalid": ("channel_config", ["sweep", "{config}", "--param", "comm.params.t",
+                                         "--from", "0.0", "--to", "0.04", "--steps", "3", "--out", "{out}"]),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_golden_outputs(name, request, tmp_path, capsys):
+    # exact stdout and --out bytes of the criterion-7 and channel scenarios; each
+    # sweep point must see the config as read, whatever the point before it set
+    fixture, argv = GOLDEN_RUNS[name]
+    out = tmp_path / "out"
+    config = request.getfixturevalue(fixture)
+    assert main([arg.format(config=config, out=out) for arg in argv]) == 0
+    expected = json.loads((Path(__file__).parent / "golden_cli.json").read_text())[name]
+    assert capsys.readouterr().out == expected["stdout"]
+    assert (out.read_bytes().decode() if out.exists() else None) == expected["out"]

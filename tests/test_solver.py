@@ -338,14 +338,42 @@ class TestFindAlpha:
             assert lb.flow_residual(net, alpha, comm_price) == pytest.approx(0.0, abs=1e-12)
 
 
-    def test_capacity_within_rounding_raises(self):
-        # arrivals fall 2e-16 short of capacity: no finite price absorbs them,
-        # so the solver refuses instead of keeping the overloaded node's load
-        net = make_network([0.10292525252525252, 0.9810747474747474], [0.255, 0.829],
-                           lb.ConstantCommDelay(0.0))
+    @pytest.mark.parametrize("phi, mu, t", [
+        ([0.10292525252525252, 0.9810747474747474], [0.255, 0.829], 0.0),
+        ([1.0, 1.0 - 1e-15], [1.0, 1.0], 0.01),
+    ], ids=["no-headroom", "headroom-below-resolution"])
+    def test_capacity_within_rounding_raises(self, phi, mu, t):
+        # arrivals fall 2e-16 short of capacity, where no finite price absorbs them,
+        # or 9e-16 short, where no float rate certifies the balancing price (~4e30):
+        # the solver refuses both instead of returning an answer that fails verification
+        net = make_network(phi, mu, lb.ConstantCommDelay(t))
         with pytest.raises(lb.ConvergenceError, match="no finite alpha"):
             lb.solve(net)
 
+    def test_near_capacity_raises_or_verifies(self):
+        # total arrivals 1e-16..1e-4 short of capacity, nodes loaded up to 1.3x:
+        # each answer verifies at 1e-8, or the solver says the headroom is below
+        # float resolution
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(2, 12))
+            mu = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            phi = rng.uniform(0.0, 1.3, n) * mu
+            phi *= (1.0 - 10.0 ** rng.uniform(-16.0, -4.0)) * mu.sum() / phi.sum()
+            t = float(np.median(1.0 / mu)) * 10.0 ** rng.uniform(-2.0, 1.0)
+            total = float(phi.sum())
+            comm = (lb.ConstantCommDelay(t), lb.MM1ChannelCommDelay(t, total * float(rng.uniform(0.5, 3.0))),
+                    lb.PolynomialCommDelay((0.0, t / total, t / total ** 2)))[int(rng.integers(0, 3))]
+            try:
+                net = make_network(phi, mu, comm)
+            except lb.UnstableNetworkError:
+                continue  # the sum rounded past capacity
+            try:
+                solution = lb.solve(net)
+            except lb.ConvergenceError as exc:
+                assert "within rounding of the capacity" in str(exc)
+                continue
+            assert lb.verify_optimality(net, solution).passed(), (mu, phi, comm)
 
 class TestTrafficSearch:
     def test_few_probes_at_n200(self):
