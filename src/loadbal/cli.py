@@ -2,14 +2,14 @@
 
 Commands::
 
-    loadbal solve    CONFIG [--tol T] [--out FILE] [--format json|csv]
+    loadbal solve    CONFIG [--out FILE] [--format json|csv]
     loadbal oracle   CONFIG [--grid N] [--refine R]
     loadbal check    CONFIG [--grid N] [--refine R]
     loadbal simulate CONFIG [--policy P] [--jobs N] [--seed S] [--out FILE]
-    loadbal sweep    CONFIG --param PATH --from A --to B --steps K [--out FILE] [--parallel N]
+    loadbal sweep    CONFIG --param PATH --from A --to B --steps K [--out FILE]
 
 Each command reads its config file once.  ``sweep`` solves its points one after
-another, each writing its value into that one config; ``--parallel`` has no effect.
+another, each writing its value into that one config.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 non-convergence.
 ``LOADBAL_LOG={error|info|debug}`` controls diagnostics on standard error.
@@ -26,7 +26,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import __version__
 from .config import ConfigError, Scenario, network_to_config, parse_config, read_config, sim_config
@@ -116,13 +116,7 @@ def _print_solution(report: dict) -> None:
 
 def cmd_solve(args) -> int:
     _, scenario = _load(args.config)
-    solver = scenario.solver
-    if args.tol is not None:
-        try:
-            solver = replace(solver, alpha_tol=args.tol)
-        except ValueError as exc:
-            raise _UsageError(f"--tol: {exc}") from exc
-    solution = solve(scenario.network, solver)
+    solution = solve(scenario.network, scenario.solver)
     report = _solution_report(scenario.network, solution)
     _print_solution(report)
     if args.out and args.format == "csv":
@@ -260,8 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     config.add_argument("config")
 
     p = sub.add_parser("solve", parents=[config], help="solve a scenario and report the allocation")
-    p.add_argument("--tol", type=float, default=None,
-                   help="alpha_tol override: the relative alpha step at which the price search stops")
     p.add_argument("--out", default=None, help="write the report to this file")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_solve)
@@ -287,8 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--parallel", type=int, default=1,
-                   help="accepted for old command lines; has no effect, points are solved one after another")
     p.set_defaults(func=cmd_sweep)
     return parser
 

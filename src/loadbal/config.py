@@ -7,11 +7,13 @@ sections, so a scenario is a single reproducible artifact::
       "nodes": [{"id": "a", "arrival_rate": 1.5, "service_rate": 4.0},
                 {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0}],
       "comm": {"model": "constant", "params": {"t": 0.05}},
-      "solver": {"alpha_tol": 1e-10},
+      "solver": {"max_outer": 200},
       "sim": {"total_jobs": 100000, "seed": 42}
     }
 
 Validation errors name the offending path (e.g. ``nodes[1].service_rate``).
+An unknown field at the top level or in ``solver``/``sim`` is an error too
+(e.g. ``config.solvers: unknown field``).
 """
 
 from __future__ import annotations
@@ -62,15 +64,20 @@ def _required_number(data: dict, key: str, path: str) -> float:
     return _number(_require(data, key, path), f"{path}.{key}")
 
 
+def _known_fields(data: dict, names, path: str) -> dict:
+    """``data``, unless it holds a key that is not in ``names``."""
+    unknown = set(data) - set(names)
+    if unknown:
+        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+    return data
+
+
 def _section(data: dict, name: str, settings) -> dict:
     """The optional ``name`` object of the config, holding only fields of the ``settings`` dataclass."""
     section = data.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"{name}: expected an object")
-    unknown = set(section) - {field.name for field in fields(settings)}
-    if unknown:
-        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown field")
-    return section
+    return _known_fields(section, [field.name for field in fields(settings)], name)
 
 
 def _comm_from_config(data, path: str) -> CommDelayModel:
@@ -103,6 +110,7 @@ def _comm_from_config(data, path: str) -> CommDelayModel:
 def parse_config(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
+    _known_fields(data, ("nodes", "comm", "solver", "sim"), "config")
     nodes_data = _require(data, "nodes", "config")
     if not isinstance(nodes_data, list) or not nodes_data:
         raise ConfigError("nodes: expected a non-empty list")

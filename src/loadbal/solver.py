@@ -35,7 +35,6 @@ answer.
 from __future__ import annotations
 
 import logging
-import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -55,25 +54,15 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances for the scalar searches.
+    """The one solver setting: ``max_outer`` caps the outer traffic probes.
 
-    ``alpha_tol`` is the relative ``alpha`` step at which the Newton root
-    on the breakpoint segment stops (closed-form segments ignore it).
-    ``lambda_tol`` is the largest self-consistency gap accepted on the
-    transfer traffic; None means 1e-9 times the total arrival rate.
-    ``max_outer`` caps the outer traffic probes.
+    Both scalar searches stop where float64 stops resolving them, so
+    there is no tolerance to set.
     """
 
-    alpha_tol: float = 1e-10
-    lambda_tol: float | None = None
     max_outer: int = 200
 
     def __post_init__(self) -> None:
-        for name, value in (("alpha_tol", self.alpha_tol), ("lambda_tol", self.lambda_tol)):
-            if value is None and name == "lambda_tol":
-                continue  # None picks a tolerance relative to the arrivals
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         max_outer = self.max_outer
         if isinstance(max_outer, bool) or not isinstance(max_outer, numbers.Integral) or max_outer < 1:
             raise ValueError(f"max_outer must be an integer >= 1, got {max_outer!r}")
@@ -163,7 +152,7 @@ def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
     return float(beta.sum()) - network.total_arrival_rate
 
 
-def _find_alpha(network: Network, comm_price: float, alpha_tol: float) -> float:
+def _find_alpha(network: Network, comm_price: float) -> float:
     """Exact breakpoint search for the common price: inf{alpha : flow_residual > 0}.
 
     With the surcharge c fixed, node i changes role at three prices: from
@@ -181,8 +170,7 @@ def _find_alpha(network: Network, comm_price: float, alpha_tol: float) -> float:
     Its role set is summed again exactly and R is solved on it: in closed
     form when only sinks or only sources move, else by Newton steps from
     below, where R is concave and increasing so the iterates rise
-    monotonically to the root.  They stop once a step is at most
-    ``alpha_tol`` relative to alpha.
+    monotonically to the root, and stop where float64 stops them.
 
     When every loaded node fits in the band at the smallest f_i(phi_i),
     R is 0 up to that price and positive beyond it, so that price is the
@@ -228,12 +216,16 @@ def _find_alpha(network: Network, comm_price: float, alpha_tol: float) -> float:
         raise ConvergenceError(
             f"no finite alpha balances the load at comm price {comm_price!r}: "
             f"total arrivals are within rounding of the capacity that can absorb them")
-    return _segment_root(k_exact, s1_exact, s2_exact, comm_price, float(at[j]), float(right[j]), alpha_tol)
+    return _segment_root(k_exact, s1_exact, s2_exact, comm_price, float(at[j]), float(right[j]))
 
 
-def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: float,
-                  alpha_tol: float) -> float:
-    """Root of K - S1 alpha^-1/2 - S2 (alpha + c)^-1/2 on [left, right], clamped to it."""
+def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: float) -> float:
+    """Root of K - S1 alpha^-1/2 - S2 (alpha + c)^-1/2 on [left, right], clamped to it.
+
+    The Newton iterates rise monotonically from below, so they run until the
+    residual turns nonnegative or a step no longer moves the root in float64;
+    100 steps are only a safety cap.
+    """
     if s2 == 0.0:
         root = (s1 / k) ** 2
     elif s1 == 0.0:
@@ -248,9 +240,9 @@ def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: 
             if residual >= 0.0:
                 break
             step = -2.0 * residual / (s1 * t1 ** 3 + s2 * t2 ** 3)
-            root += step
-            if step <= alpha_tol * root:
+            if root + step <= root:  # the float fixed point
                 break
+            root += step
     return min(max(root, left), right)
 
 
@@ -368,7 +360,7 @@ def _traffic_search(probe, start: _Probe, cap: float, floor: float,
 
 
 def solve(network: Network, config: SolverConfig | None = None) -> OptimalSolution:
-    """Optimal static allocation for ``network``.
+    """Optimal static allocation for ``network``; ``config`` only caps the outer probes.
 
     Outer search: the surcharge depends on the transfer traffic, so the
     traffic must solve the self-consistency equation
@@ -384,12 +376,17 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     one array pass.  Roles are built once, for the probe returned.  The
     interior candidate is compared against the exact no-transfer
     assignment because the objective may be discontinuous at zero traffic.
+
+    The traffic search stops once the gap or its bracket is within the
+    rounding noise of the implied-traffic sum, about eps * sum(mu), and the
+    answer must leave a gap of at most 1e-9 * Phi, or the solve raises
+    :class:`ConvergenceError`.
     """
     cfg = config or SolverConfig()
     phi_total = network.total_arrival_rate
     if phi_total == 0:
         return _no_transfer_solution(network, iterations=0, interior_objective=None)
-    lam_tol = cfg.lambda_tol if cfg.lambda_tol is not None else 1e-9 * phi_total
+    lam_tol = 1e-9 * phi_total
     comm = network.comm
     lam_cap = phi_total
     if np.isfinite(comm.max_rate):
@@ -398,7 +395,7 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
 
     def probe(traffic: float) -> _Probe:
         comm_price = phi_total * comm.delay_derivative(traffic)
-        alpha = _find_alpha(network, comm_price, cfg.alpha_tol)
+        alpha = _find_alpha(network, comm_price)
         sink, _, _, beta = _price_pass(network, alpha, comm_price)
         implied = min(float((beta - phi)[sink].sum()), lam_cap)
         log.debug("outer: traffic %.6g -> price %.6g, alpha %.6g, implied %.6g",
@@ -407,7 +404,10 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
 
     probes, stopped = [probe(0.0)], None
     if not comm.derivative_is_constant and probes[0].implied > 0.0:
-        floor = 1e-15 * max(phi_total, 1.0)
+        # each sink's rate is rounded to about eps * mu and the implied traffic sums them;
+        # a floor above the gate would stop the search on a gap the gate then refuses
+        noise = 4.0 * np.finfo(float).eps * float(network.service_rates.sum())
+        floor = min(noise, lam_tol)
         probes, stopped = _traffic_search(probe, probes[0], lam_cap, floor, cfg.max_outer)
     best = min(probes, key=lambda p: abs(p.gap))
 

@@ -16,6 +16,14 @@ def write_config(path, data):
     return str(path)
 
 
+def exit_code(argv):
+    """``main``'s exit code, also when argparse rejects the command line by raising SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.fixture
 def asym_config(tmp_path):
     return write_config(tmp_path / "asym.json", {
@@ -123,15 +131,19 @@ class TestSolve:
         assert main(["solve", path]) == 3
         assert "best iterate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("solver, args, message", [
-        ({"lambda_tol": math.nan, "max_outer": 2}, [], "lambda_tol must be a finite number > 0"),
-        ({"max_outer": True}, [], "max_outer must be an integer >= 1, got True"),
-        ({"max_outer": 2.5}, [], "max_outer must be an integer >= 1, got 2.5"),
-        ({"alpha_tol": math.inf}, [], "alpha_tol must be a finite number > 0"),
-        ({}, ["--tol", "0"], "--tol: alpha_tol must be a finite number > 0"),
-    ], ids=["lambda-tol-nan", "max-outer-bool", "max-outer-float", "alpha-tol-inf", "cli-tol-zero"])
-    def test_malformed_solver_settings_exit_2(self, tmp_path, capsys, solver, args, message):
-        # the channel scenario of test_non_convergence_exit_3, whose gate a NaN tolerance switched off
+    @pytest.mark.parametrize("solver, argv, message", [
+        # the solver has no tolerances to set: their keys and flags are unknown input
+        ({"lambda_tol": math.nan, "max_outer": 2}, ["solve"], "solver.lambda_tol: unknown field"),
+        ({"max_outer": True}, ["solve"], "max_outer must be an integer >= 1, got True"),
+        ({"max_outer": 2.5}, ["solve"], "max_outer must be an integer >= 1, got 2.5"),
+        ({"alpha_tol": math.inf}, ["solve"], "solver.alpha_tol: unknown field"),
+        ({}, ["solve", "--tol", "0"], "unrecognized arguments: --tol 0"),
+        ({}, ["sweep", "--param", "comm.params.t", "--from", "0.0", "--to", "0.04", "--steps", "3",
+              "--parallel", "3"], "unrecognized arguments: --parallel 3"),
+    ], ids=["lambda-tol-nan", "max-outer-bool", "max-outer-float", "alpha-tol-inf", "cli-tol-zero",
+            "sweep-parallel"])
+    def test_malformed_solver_settings_exit_2(self, tmp_path, capsys, solver, argv, message):
+        # the channel scenario of test_non_convergence_exit_3
         path = write_config(tmp_path / "chan.json", {
             "nodes": [
                 {"id": "a", "arrival_rate": 1.5, "service_rate": 4.0},
@@ -140,8 +152,16 @@ class TestSolve:
             "comm": {"model": "mm1_channel", "params": {"t": 0.02, "capacity": 2.0}},
             "solver": solver,
         })
-        assert main(["solve", path, *args]) == 2
+        command, *flags = argv
+        assert exit_code([command, path, *flags]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["solvers", "sim "], ids=["solvers", "sim-trailing-space"])
+    def test_unknown_top_level_field_exit_2(self, asym_config, capsys, key):
+        data = json.loads(Path(asym_config).read_text())
+        data[key] = {}
+        assert main(["solve", write_config(Path(asym_config), data)]) == 2
+        assert f"config.{key}: unknown field" in capsys.readouterr().err
 
 
 class TestOracleAndCheck:
@@ -269,15 +289,6 @@ class TestSweep:
                      "--from", "0", "--to", "1", "--steps", "3"]) == 2
         assert message in capsys.readouterr().err
 
-    def test_parallel_matches_serial(self, asym_config, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        main(["sweep", asym_config, "--param", "comm.params.t",
-              "--from", "0.0", "--to", "0.2", "--steps", "5", "--out", str(serial)])
-        main(["sweep", asym_config, "--param", "comm.params.t",
-              "--from", "0.0", "--to", "0.2", "--steps", "5", "--out", str(parallel),
-              "--parallel", "3"])
-        assert serial.read_bytes() == parallel.read_bytes()
-
 
 class TestLogging:
     def test_env_var_controls_stderr(self, asym_config):
@@ -334,8 +345,6 @@ GOLDEN_RUNS = {
     "simulate": ("asym_config", ["simulate", "{config}", "--policy", "static_optimal", "--out", "{out}"]),
     "sweep": ("asym_config", ["sweep", "{config}", "--param", "comm.params.t",
                               "--from", "0.0", "--to", "0.3", "--steps", "7", "--out", "{out}"]),
-    "sweep-parallel": ("asym_config", ["sweep", "{config}", "--param", "comm.params.t", "--from", "0.0",
-                                       "--to", "0.3", "--steps", "7", "--out", "{out}", "--parallel", "3"]),
     "sweep-unstable": ("asym_config", ["sweep", "{config}", "--param", "nodes.0.arrival_rate",
                                        "--from", "1.0", "--to", "9.0", "--steps", "5", "--out", "{out}"]),
     "sweep-invalid": ("channel_config", ["sweep", "{config}", "--param", "comm.params.t",

@@ -307,14 +307,14 @@ class TestFindAlpha:
             net = make_network(phi, mu)
             scale = max(net.total_arrival_rate, 1.0)
             for comm_price in (0.0, float(rng.uniform(0.0, 2.0)) / np.median(mu)):
-                alpha = lb.solver._find_alpha(net, comm_price, 1e-10)
+                alpha = lb.solver._find_alpha(net, comm_price)
                 assert abs(lb.flow_residual(net, alpha, comm_price)) <= 1e-12 * scale
 
     def test_all_neutral_returns_right_edge_of_zero_set(self):
         net = make_network([0.5, 1.0, 2.0], [2.0, 3.0, 5.0])
         f_phi = net.marginal_at_arrivals
         comm_price = float(f_phi.max() - f_phi.min()) + 0.1  # the band holds every node
-        alpha = lb.solver._find_alpha(net, comm_price, 1e-10)
+        alpha = lb.solver._find_alpha(net, comm_price)
         assert alpha == f_phi.min()
         assert lb.flow_residual(net, alpha, comm_price) == 0.0
         assert lb.flow_residual(net, alpha * (1 - 1e-9), comm_price) == 0.0
@@ -333,7 +333,7 @@ class TestFindAlpha:
             make_network([2.5, 0.0, 0.0], [2.0, 4.0, 4.0]),  # overloaded: one breakpoint only
         ]
         for net in nets:
-            alpha = lb.solver._find_alpha(net, comm_price, 1e-10)
+            alpha = lb.solver._find_alpha(net, comm_price)
             assert alpha == pytest.approx(bisect_alpha(net, comm_price), rel=1e-12)
             assert lb.flow_residual(net, alpha, comm_price) == pytest.approx(0.0, abs=1e-12)
 
@@ -402,6 +402,26 @@ class TestTrafficSearch:
         assert info.value.best.iterations == 3
         assert "probe cap max_outer=3" in message
         assert "last gap" in message
+
+    def test_stops_at_the_gaps_rounding_noise(self):
+        # the 285th wide draw of seed 2 reaches the rounding noise of its implied-traffic
+        # sum after 10 probes; a stop floor below that noise kept probing it to 18
+        rng = np.random.default_rng(2)
+        for _ in range(285):
+            net = wide_network(rng)
+        assert len(net) == 11 and isinstance(net.comm, lb.PolynomialCommDelay)
+        solution = lb.solve(net)
+        assert solution.iterations <= 12
+        assert lb.verify_optimality(net, solution).passed()
+
+    def test_noise_above_the_gate_keeps_probing(self):
+        # an unloaded mu=3750 sink blurs the implied traffic by ~3e-12, above the
+        # 1e-9 * Phi gate (2.9e-14): the search must not stop on that noise and then raise
+        net = make_network([0.0, 0.0, 2.89e-05], [0.0284, 3750.0, 6.07e-04],
+                           lb.MM1ChannelCommDelay(85.75, 7.7e-05))
+        solution = lb.solve(net)
+        assert solution.residuals.lambda_step <= 1e-9 * net.total_arrival_rate
+        assert lb.verify_optimality(net, solution).passed()
 
     def test_wide_range_fuzz_gate(self):
         # every instance must verify at 1e-8; a documented typed error would be
