@@ -238,23 +238,38 @@ def check_feasibility(network: Network, flow: FlowMatrix) -> FeasibilityReport:
     )
 
 
+def node_terms(service_rate, rates) -> np.ndarray:
+    """Node term beta * F(beta) elementwise; inf for a saturated node.  Returns a new array."""
+    terms = mm1_delay(service_rate, rates)
+    terms *= rates
+    return terms
+
+
+def comm_term(network: Network, traffic) -> np.ndarray:
+    """Communication term Phi * G(lambda) elementwise.
+
+    Exactly 0 at zero traffic, so models with a fixed cost make the
+    objective discontinuous there; inf at or beyond the interconnect's
+    saturation rate.
+    """
+    lam = np.asarray(traffic, dtype=float)
+    saturated = lam >= network.comm.max_rate
+    per_transfer = network.comm.delay(np.where(saturated, 0.0, lam))
+    term = np.where(lam > 0.0, network.total_arrival_rate * per_transfer, 0.0)
+    return np.where(saturated, INFINITE, term)
+
+
 def objective(network: Network, rates, traffic):
     """Aggregate objective sum_i beta_i F_i(beta_i) + Phi * G(lambda), row by row.
 
     ``rates`` is one row of processing rates, shape (n,), with a scalar
-    ``traffic``, or a block ``rates[k, n]`` with ``traffic[k]``.  The
-    communication term is exactly 0 at zero traffic, so models with a fixed
-    cost make the objective discontinuous there.  A saturated node or
+    ``traffic``, or a block ``rates[k, n]`` with ``traffic[k]``.  The node
+    terms are summed left to right, then the communication term is added
+    (see :func:`node_terms` and :func:`comm_term`).  A saturated node or
     interconnect makes a row inf.  Rates must be >= 0.
     """
     beta = np.asarray(rates, dtype=float)
-    lam = np.asarray(traffic, dtype=float)
-    terms = mm1_delay(network.service_rates, beta)
-    terms *= beta
-    saturated = lam >= network.comm.max_rate
-    per_transfer = network.comm.delay(np.where(saturated, 0.0, lam))
-    comm_term = np.where(lam > 0.0, network.total_arrival_rate * per_transfer, 0.0)
-    return terms.sum(axis=-1) + np.where(saturated, INFINITE, comm_term)
+    return node_terms(network.service_rates, beta).sum(axis=-1) + comm_term(network, traffic)
 
 
 def mean_response_time(network: Network, flow: FlowMatrix) -> float:

@@ -11,20 +11,31 @@ The search grids the (n-1)-dimensional balanced slice, then repeatedly
 halves the window around the incumbent and re-grids.  The exact
 no-transfer point is always evaluated and seeds the incumbent, so ties
 resolve toward keeping everything local.
+
+Each grid is scored separably: a free node's term and shipped share depend
+only on its own axis, so they are computed once per axis value and the
+grid's sums are broadcast additions of those tables.  Only the implied last
+node's term, the comm term and the last node's box are computed per grid
+point, in blocks of at most ``_BLOCK_POINTS`` points.  Every grid value is
+bit-identical to scoring its row with :func:`~loadbal.network.objective`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Allocation, Network, NodePartition, NodeRole, objective
+from .network import Allocation, Network, NodePartition, NodeRole, comm_term, node_terms, objective
 from .solver import OptimalSolution
 
-#: grid points scored per block; bounds the (rows, n) temporaries of the objective
-_CHUNK_ROWS = 1 << 19
+#: grid points scored per block; bounds every per-point temporary (256 KiB of float64),
+#: small enough to stay in a core's cache
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,7 @@ def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 
 
     for round_idx in range(refine_rounds + 1):
         axes = [np.linspace(lo[a], lo[a] + width[a], grid) for a in range(free)]
-        val, d = _grid_min(network, axes, lo_box[-1], hi_box[-1])
+        val, d = _grid_min(network, axes, lo_box[-1])
         if val < best_val:
             best_val, best_d = val, d
         width = width * 0.5
@@ -101,30 +112,73 @@ def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 
     )
 
 
-def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float, last_hi: float) -> tuple[float, np.ndarray]:
-    """Minimum over the cartesian grid, first (lexicographic) occurrence wins."""
-    shape = tuple(len(a) for a in axes)
-    total = math.prod(shape)
-    chunk = max(1, _CHUNK_ROWS // max(len(axes), 1))
+def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float) -> tuple[float, np.ndarray]:
+    """Minimum over the cartesian grid of the free axes, first (lexicographic) occurrence wins.
+
+    The last node's net transfer is implied by balance and must lie in
+    ``[last_lo, phi_last]``; its upper end is exactly where its rate turns
+    negative.  Each free axis a gets two tables of ``grid`` entries: its node
+    term beta_a F_a(beta_a) (inf where beta_a < 0, an infeasible point) and
+    its shipped share max(d_a, 0).  The node-term sum, the shipped traffic
+    and the free transfers' sum are broadcast additions of tables, left to
+    right as the row sums of :func:`objective` add them, so every grid value
+    is bit-identical to scoring its row.  Per point only the last node's
+    term, the comm term and the last node's box are computed.
+
+    The grid is walked in C-ordered blocks of at most ``_BLOCK_POINTS``
+    points (see :func:`_blocks`); ``argmin`` keeps the first minimum within
+    a block and a strict ``<`` the first across blocks.
+    """
+    phi = network.arrival_rates
+    mu = network.service_rates
+    node_tables, ship_tables = [], []
+    for a, axis in enumerate(axes):
+        beta = phi[a] - axis
+        terms = node_terms(mu[a], beta)
+        terms[beta < 0.0] = np.inf
+        node_tables.append(terms)
+        ship_tables.append(np.maximum(axis, 0.0))
     best_val = np.inf
     best_d = None
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        coords = np.unravel_index(flat, shape)
-        d_free = np.stack([axes[a][coords[a]] for a in range(len(axes))], axis=1)
-        d_last = -d_free.sum(axis=1)
-        rows = np.concatenate([d_free, d_last[:, None]], axis=1)
-        shipped = np.maximum(rows, 0.0).sum(axis=1)
-        beta = network.arrival_rates - rows
-        # rows with a negative rate or the last coordinate off its box are infeasible
-        infeasible = np.any(beta < 0.0, axis=1) | (d_last < last_lo) | (d_last > last_hi)
-        vals = objective(network, beta, shipped)
-        vals[infeasible] = np.inf
-        j = int(np.argmin(vals))
+    for index in _blocks(tuple(len(axis) for axis in axes)):
+        d_last = -_block_sum(axes, index)
+        beta_last = phi[-1] - d_last
+        shipped = _block_sum(ship_tables, index) + np.maximum(d_last, 0.0)
+        vals = _block_sum(node_tables, index) + node_terms(mu[-1], beta_last)
+        vals += comm_term(network, shipped)
+        vals[(beta_last < 0.0) | (d_last < last_lo)] = np.inf
+        j = np.unravel_index(int(np.argmin(vals)), vals.shape)
         if vals[j] < best_val:
             best_val = float(vals[j])
-            best_d = rows[j].copy()
+            best_d = np.array([axis[i][k] for axis, i, k in zip(axes, index, j)] + [d_last[j]])
     return best_val, best_d
+
+
+def _block_sum(tables: list[np.ndarray], index: tuple[slice, ...]) -> np.ndarray:
+    """Broadcast sum over one block of one entry per axis table, added left to right.
+
+    With a single axis this is a view of its table, so callers never write into it.
+    """
+    return functools.reduce(operator.add, np.ix_(*(t[i] for t, i in zip(tables, index))))
+
+
+def _blocks(shape: tuple[int, ...]):
+    """Index slices, one per axis, of C-ordered sub-boxes of ``shape`` with at most ``_BLOCK_POINTS`` points.
+
+    The trailing axes that fit stay whole, the axis before them is cut into
+    runs, and the axes before that are walked one index at a time.
+    """
+    cut = len(shape)
+    while cut > 0 and math.prod(shape[cut - 1:]) <= _BLOCK_POINTS:
+        cut -= 1
+    if cut == 0:
+        yield tuple(slice(None) for _ in shape)
+        return
+    whole = tuple(slice(None) for _ in shape[cut:])
+    run = _BLOCK_POINTS // math.prod(shape[cut:])  # >= 1: the whole trailing axes fit
+    for lead in itertools.product(*(range(size) for size in shape[:cut - 1])):
+        for start in range(0, shape[cut - 1], run):
+            yield tuple(slice(i, i + 1) for i in lead) + (slice(start, start + run),) + whole
 
 
 def _roles_from_transfers(network: Network, net_transfers, boundary: float) -> NodePartition:

@@ -94,9 +94,11 @@ class OptimalSolution:
 class ConvergenceError(RuntimeError):
     """The solver found no answer it can certify.
 
-    Either the fixed point on the transfer traffic did not settle, or total
-    arrivals lie within rounding of the capacity that can absorb them.  Carries
-    the best iterate, where there is one, so callers can inspect or report it.
+    Either the fixed point on the transfer traffic did not settle (or settles
+    only within the implied traffic's rounding noise, which a large-mu sink
+    can lift above the 1e-9*Phi gate), or total arrivals lie within rounding
+    of the capacity that can absorb them.  Carries the best iterate, where
+    there is one, so callers can inspect or report it.
     """
 
     def __init__(self, message: str, best: OptimalSolution | None = None):
@@ -402,11 +404,11 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
                   traffic, comm_price, alpha, implied)
         return _Probe(traffic, comm_price, alpha, implied)
 
+    # each sink's rate is rounded to about eps * mu and the implied traffic sums them
+    noise = 4.0 * np.finfo(float).eps * float(network.service_rates.sum())
     probes, stopped = [probe(0.0)], None
     if not comm.derivative_is_constant and probes[0].implied > 0.0:
-        # each sink's rate is rounded to about eps * mu and the implied traffic sums them;
         # a floor above the gate would stop the search on a gap the gate then refuses
-        noise = 4.0 * np.finfo(float).eps * float(network.service_rates.sum())
         floor = min(noise, lam_tol)
         probes, stopped = _traffic_search(probe, probes[0], lam_cap, floor, cfg.max_outer)
     best = min(probes, key=lambda p: abs(p.gap))
@@ -432,12 +434,15 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
         interior_objective=None,
     )
     if stopped is not None and abs(best.gap) > lam_tol:
-        raise ConvergenceError(
-            f"transfer traffic fixed point did not settle: the search stopped after {len(probes)} "
-            f"probes because {stopped}; last gap {probes[-1].gap:.3g}, best gap {best.gap:.3g}, "
-            f"tolerance {lam_tol:.3g}",
-            best=interior,
-        )
+        searched = f"the search stopped after {len(probes)} probes because {stopped}"
+        if abs(best.gap) <= noise:
+            why = (f"cannot be settled in float64: the best gap {best.gap:.3g} is within the rounding "
+                   f"noise of the implied traffic, 4*eps*sum(mu) = {noise:.3g}, which exceeds the "
+                   f"settle gate 1e-9*Phi = {lam_tol:.3g} ({searched})")
+        else:
+            why = (f"did not settle: {searched}; last gap {probes[-1].gap:.3g}, best gap {best.gap:.3g}, "
+                   f"tolerance {lam_tol:.3g}")
+        raise ConvergenceError(f"transfer traffic fixed point {why}", best=interior)
 
     no_transfer = _no_transfer_solution(network, len(probes), interior_objective=interior.objective)
     # a no-transfer answer whose objective is inf certifies nothing, so then the interior is the answer

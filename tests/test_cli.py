@@ -174,6 +174,33 @@ class TestOracleAndCheck:
         assert main(["check", asym_config, "--grid", "101", "--refine", "6"]) == 0
         assert "check passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, stdout", [
+        ("oracle", "node                 beta   net_transfer\n"
+                   "a                1.500000       0.000000\n"
+                   "b                0.000000       0.000000\n"
+                   "objective          0.6000000000\n"
+                   "lambda             0.0000000000\n"
+                   "solver_gap         -6.346e-02\n"
+                   "roles_agree        false\n"),
+        ("check", "solver objective   0.5365384615\n"
+                  "oracle objective   0.6000000000\n"
+                  "gap                -6.346e-02\n"
+                  "kkt worst residual 5.921e-16\n"
+                  "roles              solver=A,S oracle=N,N\n"
+                  "check passed\n"),
+    ])
+    def test_coarse_grid_note(self, asym_config, capsys, command, stdout):
+        # a 2-point grid cannot see the balanced optimum: the solver lands 6.3e-2 below it
+        assert main([command, asym_config, "--grid", "2", "--refine", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == stdout
+        assert ("note: the solver's objective is 6.346e-02 below the oracle's; the grid is too coarse "
+                "to confirm optimality at 1e-5, so raise --grid or --refine\n") == captured.err
+
+    def test_fine_grid_no_note(self, asym_config, capsys):
+        assert main(["check", asym_config, "--grid", "101", "--refine", "6"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_oracle_size_guard(self, tmp_path):
         path = write_config(tmp_path / "big.json", {
             "nodes": [{"id": f"n{i}", "arrival_rate": 0.1, "service_rate": 1.0} for i in range(6)],

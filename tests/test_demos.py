@@ -1,6 +1,6 @@
-"""The fast demos print exactly the text recorded in golden_demos.json.
+"""The demos print exactly the text recorded in golden_demos.json.
 
-``03`` and ``06`` are left out: they take seconds, not a fraction of one.
+``06`` is left out: its simulations take seconds, not a fraction of one.
 """
 
 import json

@@ -1,11 +1,14 @@
 """Grid-search oracle: examples, sanity, determinism, comparisons."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import loadbal as lb
+from loadbal import oracle
+from loadbal.network import objective
 
 from conftest import make_network, random_network
 
@@ -95,3 +98,124 @@ class TestCompare:
         assert not report.ok
         assert not report.roles_agree
         assert report.objective_gap > 1e-3
+
+
+COMMS = {
+    "constant": lb.ConstantCommDelay(0.05),
+    "mm1_channel": lb.MM1ChannelCommDelay(0.03, 1.5),
+    "polynomial": lb.PolynomialCommDelay((0.01, 0.1, 0.04)),
+}
+
+
+def last_lo(net):
+    return float(net.arrival_rates[-1] - net.service_rates[-1] * (1.0 - 1e-9))
+
+
+def box_axes(net, grid):
+    """The oracle's first-round axes: each free node's whole net-transfer box."""
+    phi, mu = net.arrival_rates, net.service_rates
+    return [np.linspace(phi[a] - mu[a] * (1.0 - 1e-9), phi[a], grid) for a in range(len(net) - 1)]
+
+
+def row_by_row(net, axes):
+    """Reference grid minimum: ``objective`` on each row, in ``itertools.product`` order.
+
+    Returns the minimum, its row (first occurrence) and every row's value.
+    """
+    phi = net.arrival_rates
+    best_val, best_d, values = np.inf, None, []
+    for point in itertools.product(*axes):
+        d_free = np.array(point)
+        d = np.append(d_free, -d_free.sum())
+        beta = phi - d
+        value = float(objective(net, beta, np.maximum(d, 0.0).sum()))
+        if np.any(beta < 0.0) or not last_lo(net) <= d[-1] <= phi[-1]:
+            value = np.inf
+        values.append(value)
+        if value < best_val:
+            best_val, best_d = value, d
+    return best_val, best_d, np.array(values)
+
+
+def assert_same_minimum(net, axes):
+    """``_grid_min`` returns exactly the reference's minimum and row; returns every row's value."""
+    ref_val, ref_d, values = row_by_row(net, axes)
+    val, d = oracle._grid_min(net, axes, last_lo(net))
+    assert val == ref_val
+    assert d.tobytes() == ref_d.tobytes()
+    return values
+
+
+class TestGridMin:
+    """The separable grid scores every row bit-identically to ``objective``."""
+
+    @pytest.mark.parametrize("comm", list(COMMS))
+    @pytest.mark.parametrize("n, grid", [(2, 41), (3, 15), (4, 8), (5, 6)])
+    def test_matches_row_by_row(self, n, grid, comm):
+        rng = np.random.default_rng(10 * n + list(COMMS).index(comm))
+        base = random_network(rng, n)
+        net = make_network(base.arrival_rates, base.service_rates, COMMS[comm])
+        assert_same_minimum(net, box_axes(net, grid))
+        # a refinement-style window near the box's minimum, off the box's grid
+        _, d, _ = row_by_row(net, box_axes(net, grid))
+        mu = net.service_rates[:-1]
+        center = d[:-1] + rng.uniform(-0.03, 0.03, n - 1) * mu
+        values = assert_same_minimum(net, [np.linspace(c - 0.1 * m, c + 0.1 * m, grid)
+                                           for c, m in zip(center, mu)])
+        assert np.isfinite(values).any()
+
+    def test_saturating_channel(self):
+        net = make_network([1.5, 0.0], [4.0, 4.0], lb.MM1ChannelCommDelay(0.01, 0.5))
+        values = assert_same_minimum(net, box_axes(net, 101))
+        # rows shipping 0.5 or more sit on the channel's pole
+        assert np.isinf(values).sum() > 0 and np.isfinite(values).sum() > 0
+
+    def test_window_leaves_the_box(self):
+        # the window crosses d_0 = phi_0 (a negative rate) and the last coordinate's box on both sides
+        net = make_network([0.6, 0.4, 0.2], [2.0, 1.5, 1.0], COMMS["mm1_channel"])
+        axes = [np.linspace(-1.3, 0.7, 12), np.linspace(-1.0, 0.4, 12)]
+        d_last = -np.add.outer(axes[0], axes[1])
+        assert (axes[0] > 0.6).any()
+        assert (d_last < last_lo(net)).any() and (d_last > net.arrival_rates[-1]).any()
+        values = assert_same_minimum(net, axes)
+        assert np.isinf(values).any()
+
+    @pytest.mark.parametrize("phi, mu, point", [
+        # d_last falls 1e-9 below its box, where the last node's term is still finite
+        ([2.0, 0.5], [3.0, 2.0], [1.5 - 1e-9]),
+        # node 0 ships 1e-9 more than it receives, a negative rate with a finite term
+        ([2.0, 0.5, 0.5], [3.0, 3.0, 1.0], [2.0 + 1e-9, -2.0]),
+    ], ids=["last-below-box", "negative-free-rate"])
+    def test_finite_row_off_the_box_is_infeasible(self, phi, mu, point):
+        net = make_network(phi, mu, COMMS["constant"])
+        axes = [np.array([d]) for d in point]
+        d = np.append(point, -sum(point))
+        assert np.isfinite(objective(net, net.arrival_rates - d, np.maximum(d, 0.0).sum()))
+        assert oracle._grid_min(net, axes, last_lo(net)) == (np.inf, None)
+        assert row_by_row(net, axes)[1] is None
+
+    def test_exact_ties_keep_the_first_row(self):
+        # equal nodes: shipping 0.1 either way scores the same sum in the other order
+        net = make_network([1.0, 1.0], [3.0, 3.0], lb.ConstantCommDelay(0.02))
+        values = assert_same_minimum(net, [np.array([-0.3, -0.1, 0.1, 0.3])])
+        assert (values == values.min()).sum() == 2
+        three = make_network([0.8, 0.8, 0.8], [3.0, 3.0, 3.0], COMMS["polynomial"])
+        assert_same_minimum(three, box_axes(three, 13))
+
+    @pytest.mark.parametrize("points", [1, 3, 7, 40])
+    def test_several_blocks(self, monkeypatch, points):
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", points)
+        shape = (5, 4, 6)
+        blocks = list(oracle._blocks(shape))
+        assert len(blocks) > 1
+        # the blocks tile the grid once, in C order
+        flat = np.arange(np.prod(shape)).reshape(shape)
+        assert np.array_equal(np.concatenate([flat[b].ravel() for b in blocks]), flat.ravel())
+        assert max(flat[b].size for b in blocks) <= points
+        tie = make_network([1.0, 1.0], [3.0, 3.0], lb.ConstantCommDelay(0.02))
+        assert_same_minimum(tie, [np.array([-0.3, -0.1, 0.1, 0.3])])
+        rng = np.random.default_rng(7)
+        for comm in COMMS.values():
+            base = random_network(rng, 4)
+            net = make_network(base.arrival_rates, base.service_rates, comm)
+            assert_same_minimum(net, box_axes(net, 6))

@@ -414,6 +414,23 @@ class TestTrafficSearch:
         assert solution.iterations <= 12
         assert lb.verify_optimality(net, solution).passed()
 
+    def test_gap_within_rounding_noise_names_it(self):
+        # the 228th wide draw of seed 12: an unloaded mu=7947.5 sink blurs the implied traffic
+        # by ~7e-12, far above its 1e-9*Phi gate of 9e-14, so the gate refuses a best
+        # iterate that verifies; the error must say so rather than blame the search
+        rng = np.random.default_rng(12)
+        for _ in range(228):
+            net = wide_network(rng)
+        assert len(net) == 2 and isinstance(net.comm, lb.MM1ChannelCommDelay)
+        with pytest.raises(lb.ConvergenceError) as info:
+            lb.solve(net)
+        message = str(info.value)
+        assert "cannot be settled in float64" in message
+        assert "rounding noise of the implied traffic, 4*eps*sum(mu) = 7.06e-12" in message
+        assert "settle gate 1e-9*Phi = 8.97e-14" in message
+        assert "did not settle" not in message
+        assert lb.verify_optimality(net, info.value.best).passed()
+
     def test_noise_above_the_gate_keeps_probing(self):
         # an unloaded mu=3750 sink blurs the implied traffic by ~3e-12, above the
         # 1e-9 * Phi gate (2.9e-14): the search must not stop on that noise and then raise
