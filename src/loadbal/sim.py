@@ -2,7 +2,9 @@
 
 One event loop drives every policy through one router protocol: a
 policy scores each node, the engine keeps the scores current, and the
-router picks the serving node with one ``min`` (see ``_Engine``).  All
+router picks the serving node with one ``min`` (see ``_Engine``).  The
+loop is a single function over local state: a job is a plain tuple and
+each event is handled inline, with no per-event method call.  All
 randomness comes from a single numpy generator consumed in event order,
 so a seed pins the whole trace bit for bit.  Policies that do not use
 randomness for routing consume none, which makes e.g. the threshold
@@ -60,8 +62,12 @@ class SimConfig:
             raise ValueError(f"total_jobs must be an integer >= 1, got {self.total_jobs!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        warmup = self.warmup_fraction
+        if not (isinstance(warmup, numbers.Real) and not isinstance(warmup, bool) and 0.0 <= warmup < 1.0):
+            raise ValueError(f"warmup_fraction must be a number in [0, 1), got {warmup!r}")
+        if not isinstance(self.policy, Policy):
+            valid = ", ".join(p.value for p in Policy)
+            raise ValueError(f"policy must be a Policy member (one of {valid}), got {self.policy!r}")
 
 
 @dataclass(frozen=True)
@@ -72,30 +78,27 @@ class SimReport:
     ci_halfwidth: float
 
 
-class _Job:
-    __slots__ = ("index", "join", "transferred", "comm_delay")
-
-    def __init__(self, index: int):
-        self.index = index
-        self.transferred = False
-        self.comm_delay = 0.0
-
-
 def _static_router(network: Network, flow: FlowMatrix):
     """Bernoulli splitting that realizes the fluid rates of a flow matrix.
 
     Bisects one uniform per arrival into the node's cumulative split
     probabilities; arrivals at nodes with no outgoing flow consume none.
     Transfers pay the fixed mean delay G at the flow's total traffic.
+
+    Every table comes from one array division of the positive entries of
+    x by their row's phi, summed up each row in order: the same additions
+    as a per-row cumsum, so the same floats, with no n x n temporary.
     """
     lam = flow.total_rate
     comm = network.comm.delay(lam) if lam > 0 else 0.0
     x = flow.matrix
-    splits = []
-    for i, node in enumerate(network.nodes):
-        targets = np.flatnonzero(x[i] > 0)
-        cum = np.cumsum(x[i, targets] / node.arrival_rate).tolist()
-        splits.append((cum, [(int(j), comm) for j in targets] + [(i, 0.0)]))
+    rows, cols = np.nonzero(x > 0)
+    shares = (x[rows, cols] / network.arrival_rates[rows]).tolist()
+    splits = [([], [(i, 0.0)]) for i in range(len(network))]
+    for i, j, share in zip(rows.tolist(), cols.tolist(), shares):
+        cum, choices = splits[i]
+        cum.append(cum[-1] + share if cum else share)
+        choices.insert(-1, (j, comm))
 
     def route(engine: "_Engine", i: int) -> tuple[int, float]:
         cum, choices = splits[i]
@@ -136,8 +139,8 @@ def _threshold_router(network: Network, low: float, high: float):
     above ``high`` is shipped to the best other node, provided that node
     scores below ``low``.
     """
-    if low > high:
-        raise ValueError(f"thresholds must satisfy low <= high, got {low} > {high}")
+    if not low <= high:
+        raise ValueError(f"thresholds must satisfy low <= high, got low={low}, high={high}")
     delays = [node.delay for node in network.nodes]
     mu = [delay.service_rate for delay in delays]
 
@@ -173,6 +176,14 @@ class _Engine:
     ``route(engine, i)`` returns the serving node of a job arriving at i,
     and its communication delay, from one ``min`` over ``scores`` (ties go
     to the lowest index).  Static routing has no score.
+
+    ``run`` is one loop over local state.  A heap entry is ``(time, seq,
+    kind, node, job)``; a job in transit is ``(index, comm_delay,
+    transferred)`` and waits in its node's FIFO as one flat tuple
+    ``(join_time, index, comm_delay, transferred)``.  The attributes a
+    router reads (``now``, ``transfers_total``, ``queues``, ``scores``,
+    ``sojourn_sum``, ``sojourn_count``, ``rng``) are kept current before
+    every ``route`` or ``score`` call; the lists are shared, not copied.
     """
 
     def __init__(self, network: Network, cfg: SimConfig, router):
@@ -182,24 +193,11 @@ class _Engine:
         self.rng = np.random.default_rng(cfg.seed)
         n = len(network)
         self.now = 0.0
-        self.queues: list[deque[_Job]] = [deque() for _ in range(n)]
-        self._busy_since: list[float | None] = [None] * n
-        self._busy_time = [0.0] * n
+        self.transfers_total = 0
+        self.queues: list[deque] = [deque() for _ in range(n)]
         self.sojourn_sum = [0.0] * n
         self.sojourn_count = [0] * n
-        self._heap: list[tuple] = []
-        self._seq = 0
-        self._scheduled = 0
-        self._arrived = 0
-        self._cutoff = int(cfg.warmup_fraction * cfg.total_jobs)
-        self._window_start: float | None = 0.0 if self._cutoff == 0 else None
-        self.transfers_total = 0
-        self._responses: list[float] = []       # per counted job: sojourn at the serving node
-        self._comm_delays: list[float] = []     # per counted job: comm delay (0 if local)
-        self._measured_transfers = 0
         self.scores = [] if self._score is None else [self._score(self, j) for j in range(n)]
-
-    # -- policy-visible state ------------------------------------------------
 
     def transfer_delay(self) -> float:
         """Mean interconnect delay at the running empirical transfer rate."""
@@ -212,96 +210,96 @@ class _Engine:
             rate = min(rate, comm.max_rate * (1.0 - 1e-9))
         return comm.delay(rate)
 
-    # -- event machinery -----------------------------------------------------
-
-    def _push(self, time: float, kind: int, node: int, job: _Job | None) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, node, job))
-        self._seq += 1
-
-    def _schedule_arrival(self, i: int) -> None:
-        if self._scheduled >= self.cfg.total_jobs:
-            return
-        self._scheduled += 1
-        gap = self.rng.exponential(1.0 / self.network.nodes[i].arrival_rate)
-        self._push(self.now + gap, _ARRIVE, i, None)
-
     def run(self) -> SimReport:
-        for i, node in enumerate(self.network.nodes):
-            if node.arrival_rate > 0:
-                self._schedule_arrival(i)
-        while self._heap:
-            time, _, kind, node, job = heapq.heappop(self._heap)
-            self.now = time
+        route, score = self._route, self._score
+        exponential, heappush, heappop = self.rng.exponential, heapq.heappush, heapq.heappop
+        queues, scores, sojourn_sum, sojourn_count = self.queues, self.scores, self.sojourn_sum, self.sojourn_count
+        nodes = self.network.nodes
+        n = len(nodes)
+        mean_gap = [1.0 / node.arrival_rate if node.arrival_rate > 0 else None for node in nodes]
+        mean_service = [1.0 / node.delay.service_rate for node in nodes]
+        busy_since: list[float | None] = [None] * n
+        busy_time = [0.0] * n
+        total_jobs = self.cfg.total_jobs
+        cutoff = int(self.cfg.warmup_fraction * total_jobs)
+        window_start = 0.0 if cutoff == 0 else None
+        responses: list[float] = []    # per counted job: sojourn at the serving node
+        comm_delays: list[float] = []  # per counted job: comm delay (0 if local)
+        measured_transfers = transfers = arrived = scheduled = seq = 0
+        now = 0.0
+        heap: list[tuple] = []
+        for i in range(n):
+            if mean_gap[i] is not None and scheduled < total_jobs:
+                scheduled += 1
+                heappush(heap, (exponential(mean_gap[i]), seq, _ARRIVE, i, None))
+                seq += 1
+        while heap:
+            now, _, kind, j, job = heappop(heap)
+            if kind == _DEPART:
+                queue = queues[j]
+                join, index, comm_delay, transferred = queue.popleft()
+                sojourn = now - join
+                sojourn_sum[j] += sojourn
+                sojourn_count[j] += 1
+                if score is not None:
+                    self.now = now
+                    scores[j] = score(self, j)
+                if index >= cutoff:
+                    responses.append(sojourn)
+                    comm_delays.append(comm_delay)
+                    if transferred:
+                        measured_transfers += 1
+                if window_start is not None:
+                    start = busy_since[j]
+                    if start < window_start:
+                        start = window_start
+                    if now > start:
+                        busy_time[j] += now - start
+                if queue:
+                    busy_since[j] = now
+                    heappush(heap, (now + exponential(mean_service[j]), seq, _DEPART, j, None))
+                    seq += 1
+                else:
+                    busy_since[j] = None
+                continue
             if kind == _ARRIVE:
-                self._on_arrival(node)
-            elif kind == _JOIN:
-                self._on_join(node, job)
+                index = arrived
+                arrived += 1
+                if index == cutoff and window_start is None:
+                    window_start = now
+                if scheduled < total_jobs:
+                    scheduled += 1
+                    heappush(heap, (now + exponential(mean_gap[j]), seq, _ARRIVE, j, None))
+                    seq += 1
+                self.now = now
+                target, comm_delay = route(self, j)
+                if target != j:
+                    transfers += 1
+                    self.transfers_total = transfers
+                    heappush(heap, (now + comm_delay, seq, _JOIN, target, (index, comm_delay, True)))
+                    seq += 1
+                    continue
+                queues[j].append((now, index, 0.0, False))
             else:
-                self._on_depart(node)
-        return self._report()
+                queues[j].append((now, *job))
+            if score is not None:
+                self.now = now
+                scores[j] = score(self, j)
+            if busy_since[j] is None:
+                busy_since[j] = now
+                heappush(heap, (now + exponential(mean_service[j]), seq, _DEPART, j, None))
+                seq += 1
 
-    def _on_arrival(self, i: int) -> None:
-        job = _Job(self._arrived)
-        self._arrived += 1
-        if job.index == self._cutoff and self._window_start is None:
-            self._window_start = self.now
-        self._schedule_arrival(i)
-        target, comm_delay = self._route(self, i)
-        if target != i:
-            job.transferred = True
-            job.comm_delay = comm_delay
-            self.transfers_total += 1
-            self._push(self.now + comm_delay, _JOIN, target, job)
-        else:
-            self._on_join(i, job)
-
-    def _on_join(self, j: int, job: _Job) -> None:
-        job.join = self.now
-        self.queues[j].append(job)
-        if self._score is not None:
-            self.scores[j] = self._score(self, j)
-        if self._busy_since[j] is None:
-            self._start_service(j)
-
-    def _start_service(self, j: int) -> None:
-        self._busy_since[j] = self.now
-        service = self.rng.exponential(1.0 / self.network.nodes[j].delay.service_rate)
-        self._push(self.now + service, _DEPART, j, None)
-
-    def _on_depart(self, j: int) -> None:
-        job = self.queues[j].popleft()
-        sojourn = self.now - job.join
-        self.sojourn_sum[j] += sojourn
-        self.sojourn_count[j] += 1
-        if self._score is not None:
-            self.scores[j] = self._score(self, j)
-        if job.index >= self._cutoff:
-            self._responses.append(sojourn)
-            self._comm_delays.append(job.comm_delay)
-            if job.transferred:
-                self._measured_transfers += 1
-        start = self._busy_since[j]
-        if self._window_start is not None:
-            self._busy_time[j] += max(0.0, self.now - max(start, self._window_start))
-        if self.queues[j]:
-            self._start_service(j)
-        else:
-            self._busy_since[j] = None
-
-    # -- output ----------------------------------------------------------------
-
-    def _report(self) -> SimReport:
-        window = self.now - (self._window_start or 0.0)
+        window = now - (window_start or 0.0)
         if window > 0:
-            utilization = tuple(min(b / window, 1.0) for b in self._busy_time)
+            utilization = tuple(min(b / window, 1.0) for b in busy_time)
         else:
-            utilization = tuple(0.0 for _ in self._busy_time)
-        mean = _composite_mean(self._responses, self._comm_delays)
+            utilization = tuple(0.0 for _ in busy_time)
         return SimReport(
-            mean_response_time=mean,
+            mean_response_time=_composite_mean(responses, comm_delays),
             utilization=utilization,
-            transfer_count=self._measured_transfers,
-            ci_halfwidth=_batch_means_halfwidth(self._responses, self._comm_delays),
+            transfer_count=measured_transfers,
+            ci_halfwidth=_batch_means_halfwidth(responses, comm_delays),
         )
 
 

@@ -257,6 +257,15 @@ class TestSimulate:
         assert main(["simulate", str(path), "--policy", "no_balancing", *args]) == 2
         assert "sim:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warmup", ["false", '"0.1"', "true", "1.0"])
+    def test_malformed_warmup_exit_2_naming_it(self, tmp_path, capsys, warmup):
+        path = tmp_path / "sim.json"
+        path.write_text('{"nodes": [{"id": "a", "arrival_rate": 1.0, "service_rate": 4.0}], '
+                        '"comm": {"model": "constant", "params": {"t": 0.05}}, '
+                        '"sim": {"warmup_fraction": ' + warmup + '}}')
+        assert main(["simulate", str(path), "--policy", "no_balancing", "--jobs", "100"]) == 2
+        assert "sim: warmup_fraction" in capsys.readouterr().err
+
     def test_all_policies_run(self, asym_config, tmp_path):
         for policy in ("no_balancing", "sq", "med", "dynamic_threshold"):
             assert main(["simulate", asym_config, "--policy", policy, "--jobs", "2000",

@@ -1,7 +1,4 @@
-"""The demos print exactly the text recorded in golden_demos.json.
-
-``06`` is left out: its simulations take seconds, not a fraction of one.
-"""
+"""The demos print exactly the text recorded in golden_demos.json."""
 
 import json
 import os

@@ -1,7 +1,9 @@
 """Simulator: analytic fidelity, determinism and policy behavior."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,11 @@ class TestDynamic:
         with pytest.raises(ValueError):
             lb.simulate_dynamic(symmetric_pair, (2.0, 1.0), lb.SimConfig(total_jobs=100, seed=1))
 
+    @pytest.mark.parametrize("thresholds", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_thresholds_rejected(self, symmetric_pair, thresholds):
+        with pytest.raises(ValueError, match="low <= high"):
+            lb.simulate_dynamic(symmetric_pair, thresholds, lb.SimConfig(total_jobs=100, seed=1))
+
 
 class TestBaselines:
     def test_queue_routing_policies_run(self, asymmetric_pair):
@@ -139,6 +146,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             lb.SimConfig(total_jobs=10, seed=1, warmup_fraction=1.0)
 
+    @pytest.mark.parametrize("policy", ["static_optimal", "no_balancing", "bogus", None, 1])
+    def test_policy_must_be_a_member(self, policy):
+        with pytest.raises(ValueError, match="no_balancing, sq, med, dynamic_threshold"):
+            lb.SimConfig(total_jobs=10, seed=1, policy=policy)
+
+    @pytest.mark.parametrize("warmup", [False, True, "0.1", None, math.nan, -0.1, 1.0])
+    def test_warmup_fraction_must_be_a_number_in_range(self, warmup):
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            lb.SimConfig(total_jobs=10, seed=1, warmup_fraction=warmup)
+
     def test_report_equality_is_exact(self, asymmetric_pair):
         cfg = lb.SimConfig(total_jobs=2_000, seed=18, policy=lb.Policy.NO_BALANCING)
         a = lb.simulate(asymmetric_pair, cfg)
@@ -173,3 +190,51 @@ def test_golden_trace(seed, policy):
     cfg = lb.SimConfig(total_jobs=4000, seed=seed, policy=lb.Policy(policy))
     report = lb.simulate(net, cfg, flow=lb.FlowMatrix(GOLDEN_FLOW), thresholds=GOLDEN_THRESHOLDS)
     assert report == GOLDEN_REPORTS[seed, policy]
+
+
+def golden_network():
+    """The network of test_golden_trace."""
+    return make_network([1.2, 0.9, 0.0, 0.0, 0.3], [2.0, 1.5, 3.0, 3.0, 1.0], lb.MM1ChannelCommDelay(0.05, 4.0))
+
+
+def n20_network():
+    """Ten loaded nodes each shipping 30% of their capacity to a lightly loaded partner."""
+    services = [2.0 + 0.25 * i for i in range(20)]
+    arrivals = [0.8 * mu for mu in services[:10]] + [0.1 * mu for mu in services[10:]]
+    flow = np.zeros((20, 20))
+    for i in range(10):
+        flow[i, i + 10] = 0.3 * services[i]
+    return make_network(arrivals, services), lb.FlowMatrix(flow)
+
+
+def golden_path_cases():
+    """Engine paths the n=5 trace misses: a window from t=0, one job, one job
+    per arriving node, and a larger network.  Each case is (id, network, cfg,
+    flow, thresholds); golden_sim.json holds each ``repr(SimReport)``, recorded
+    before the event loop was inlined into one function."""
+    net5, flow5 = golden_network(), lb.FlowMatrix(GOLDEN_FLOW)
+    net20, flow20 = n20_network()
+    for policy in lb.Policy:
+        yield (f"warmup0-{policy.value}", net5,
+               lb.SimConfig(total_jobs=2000, seed=33, warmup_fraction=0.0, policy=policy), flow5, GOLDEN_THRESHOLDS)
+        for jobs in (1, 3):
+            yield f"jobs{jobs}-{policy.value}", net5, lb.SimConfig(jobs, seed=34, policy=policy), flow5, GOLDEN_THRESHOLDS
+        yield f"n20-{policy.value}", net20, lb.SimConfig(3000, seed=35, policy=policy), flow20, (0.6, 0.9)
+
+
+GOLDEN_PATHS = {case[0]: case[1:] for case in golden_path_cases()}
+GOLDEN_PATH_REPORTS = json.loads((Path(__file__).parent / "golden_sim.json").read_text())
+
+
+@pytest.mark.parametrize("case", list(GOLDEN_PATHS))
+def test_golden_paths(case):
+    net, cfg, flow, thresholds = GOLDEN_PATHS[case]
+    assert repr(lb.simulate(net, cfg, flow=flow, thresholds=thresholds)) == GOLDEN_PATH_REPORTS[case]
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+def test_unreachable_threshold_is_no_balancing_on_golden_network(seed):
+    net = golden_network()
+    dyn = lb.simulate_dynamic(net, (GOLDEN_THRESHOLDS[0], math.inf), lb.SimConfig(total_jobs=4000, seed=seed))
+    idle = lb.simulate(net, lb.SimConfig(total_jobs=4000, seed=seed, policy=lb.Policy.NO_BALANCING))
+    assert dyn == idle
