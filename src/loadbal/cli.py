@@ -139,12 +139,9 @@ def _solve_with_oracle(args) -> tuple[Network, OptimalSolution, OracleResult, Co
     grid cannot confirm the answer; stdout and the exit code do not change.
     """
     _, scenario = _load(args.config)
-    n = len(scenario.network)
-    if n > 5:
-        raise _UsageError(f"oracle handles at most 5 nodes, config has {n}")
     try:
         result = brute_force_optimum(scenario.network, grid=args.grid, refine_rounds=args.refine)
-    except ValueError as exc:  # --grid or --refine out of range
+    except ValueError as exc:  # more than 5 nodes, or --grid or --refine out of range
         raise _UsageError(str(exc)) from exc
     solution = solve(scenario.network, scenario.solver)
     comparison = compare_solutions(solution, result, scenario.network, objective_tol=1e-5)

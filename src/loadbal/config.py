@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .delays import (
@@ -43,7 +43,11 @@ class ConfigError(ValueError):
 class Scenario:
     network: Network
     solver: SolverConfig
-    sim: dict  # raw sim settings; CLI flags fill in the rest
+    sim: SimConfig  # the sim section over ``_SIM_DEFAULTS``; CLI flags override it
+
+
+#: simulation settings a config's ``sim`` section leaves out
+_SIM_DEFAULTS = SimConfig(total_jobs=100_000, seed=1)
 
 
 def _require(data: dict, key: str, path: str):
@@ -140,10 +144,10 @@ def parse_config(data: dict) -> Scenario:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
-    sim_data = _section(data, "sim", SimConfig)
+    sim_data = dict(_section(data, "sim", SimConfig))
     if "policy" in sim_data:
-        policy_from_name(sim_data["policy"], path="sim.policy")
-    return Scenario(network=network, solver=solver, sim=dict(sim_data))
+        sim_data["policy"] = policy_from_name(sim_data["policy"], path="sim.policy")
+    return Scenario(network=network, solver=solver, sim=_sim_settings(_SIM_DEFAULTS, sim_data))
 
 
 def read_config(path: str | Path):
@@ -168,17 +172,21 @@ def policy_from_name(name, path: str = "policy") -> Policy:
         raise ConfigError(f"{path}: unknown policy {name!r} (expected one of {valid})") from None
 
 
+def _sim_settings(base: SimConfig, changes: dict) -> SimConfig:
+    """``base`` with ``changes`` applied; a bad value is a ``ConfigError`` naming its field."""
+    try:
+        return replace(base, **changes)
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
+
+
 def sim_config(scenario: Scenario, *, jobs: int | None = None, seed: int | None = None,
                policy: str | None = None) -> SimConfig:
-    """Merge the scenario's sim section with CLI overrides; ``SimConfig`` has the default policy."""
-    flags = {"total_jobs": jobs, "seed": seed, "policy": policy}
-    raw = {"total_jobs": 100_000, "seed": 1, **scenario.sim, **{k: v for k, v in flags.items() if v is not None}}
-    if "policy" in raw:
-        raw["policy"] = policy_from_name(raw["policy"])
-    try:
-        return SimConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sim: {exc}") from exc
+    """The scenario's sim settings with the CLI overrides that are set."""
+    flags = {"total_jobs": jobs, "seed": seed}
+    if policy is not None:
+        flags["policy"] = policy_from_name(policy)
+    return _sim_settings(scenario.sim, {k: v for k, v in flags.items() if v is not None})
 
 
 def network_to_config(network: Network) -> dict:

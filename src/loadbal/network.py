@@ -87,12 +87,14 @@ class Network:
 
 
 class FlowMatrix:
-    """Nonnegative off-diagonal transfer rates x[i][j] from node i to node j."""
+    """Finite, nonnegative off-diagonal transfer rates x[i][j] from node i to node j."""
 
     def __init__(self, rates):
         x = np.array(rates, dtype=float)
         if x.ndim != 2 or x.shape[0] != x.shape[1]:
             raise ValueError(f"flow matrix must be square, got shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("flow matrix entries must be finite")
         if np.any(x < 0):
             raise ValueError("flow matrix entries must be >= 0")
         if np.any(np.diagonal(x) != 0):

@@ -2,14 +2,15 @@
 
 One event loop drives every policy through one router protocol: a
 policy scores each node, the engine keeps the scores current, and the
-router picks the serving node with one ``min`` (see ``_Engine``).  The
-loop is a single function over local state: a job is a plain tuple and
-each event is handled inline, with no per-event method call.  All
-randomness comes from a single numpy generator consumed in event order,
-so a seed pins the whole trace bit for bit.  Policies that do not use
-randomness for routing consume none, which makes e.g. the threshold
-policy with an unreachable upper threshold reproduce the no-balancing
-trace exactly.
+router picks the serving node with one ``min``.  Routers only route: the
+engine ships each transfer, prices it with the policy's delay function
+and counts it (see ``_Engine``).  The loop is a single function over
+local state: a job is a plain tuple and each event is handled inline,
+with no per-event method call.  All randomness comes from a single numpy
+generator consumed in event order, so a seed pins the whole trace bit
+for bit.  Policies that do not use randomness for routing consume none,
+which makes e.g. the threshold policy with an unreachable upper
+threshold reproduce the no-balancing trace exactly.
 
 The reported ``mean_response_time`` is directly comparable to the
 analytic objective: mean node sojourn per completed job, plus the mean
@@ -32,7 +33,9 @@ import numpy as np
 
 from .network import FlowMatrix, Network, check_feasibility, relay_count
 
-#: two-sided 95% Student-t critical value at 19 degrees of freedom
+#: batch means per confidence interval, and the two-sided 95% Student-t
+#: critical value at their 19 degrees of freedom
+_BATCHES = 20
 _T_CRIT_19 = 2.093024054408263
 
 _ARRIVE, _JOIN, _DEPART = 0, 1, 2
@@ -94,27 +97,38 @@ def _static_router(network: Network, flow: FlowMatrix):
     x = flow.matrix
     rows, cols = np.nonzero(x > 0)
     shares = (x[rows, cols] / network.arrival_rates[rows]).tolist()
-    splits = [([], [(i, 0.0)]) for i in range(len(network))]
+    splits = [([], [i]) for i in range(len(network))]
     for i, j, share in zip(rows.tolist(), cols.tolist(), shares):
         cum, choices = splits[i]
         cum.append(cum[-1] + share if cum else share)
-        choices.insert(-1, (j, comm))
+        choices.insert(-1, j)
 
-    def route(engine: "_Engine", i: int) -> tuple[int, float]:
+    def route(engine: "_Engine", i: int) -> int:
         cum, choices = splits[i]
         if not cum:
-            return i, 0.0
+            return i
         return choices[bisect_right(cum, engine.rng.random())]
 
-    return route, None
+    return route, None, lambda now, transfers: comm
 
 
-def _route_to_min(engine: "_Engine", i: int) -> tuple[int, float]:
-    scores = engine.scores
-    j = scores.index(min(scores))
-    if j == i:
-        return i, 0.0
-    return j, engine.transfer_delay()
+def _running_rate_delay(network: Network):
+    """Mean interconnect delay G at the run's empirical transfer rate.
+
+    The rate is (transfers + 1) / now, kept below saturation; G(0) before
+    the clock moves.
+    """
+    delay = network.comm.delay
+    cap = network.comm.max_rate * (1.0 - 1e-9)  # inf for an unbounded model
+
+    def transfer_delay(now: float, transfers: int) -> float:
+        return delay(min((transfers + 1) / now, cap) if now > 0.0 else 0.0)
+
+    return transfer_delay
+
+
+def _route_to_min(engine: "_Engine", i: int) -> int:
+    return engine.scores.index(min(engine.scores))
 
 
 def _queue_state_router(network: Network, expected_delay: bool):
@@ -124,10 +138,11 @@ def _queue_state_router(network: Network, expected_delay: bool):
     A job only moves (and pays communication delay) if the best node is not
     its origin.
     """
+    transfer_delay = _running_rate_delay(network)
     if not expected_delay:
-        return _route_to_min, lambda engine, j: len(engine.queues[j])
+        return _route_to_min, lambda engine, j: len(engine.queues[j]), transfer_delay
     mu = network.service_rates.tolist()
-    return _route_to_min, lambda engine, j: (len(engine.queues[j]) + 1) / mu[j]
+    return _route_to_min, lambda engine, j: (len(engine.queues[j]) + 1) / mu[j], transfer_delay
 
 
 def _threshold_router(network: Network, low: float, high: float):
@@ -152,36 +167,34 @@ def _threshold_router(network: Network, low: float, high: float):
             return math.inf
         return delays[j].marginal_delay(load)
 
-    def route(engine: "_Engine", i: int) -> tuple[int, float]:
+    def route(engine: "_Engine", i: int) -> int:
         scores = engine.scores
         own = scores[i]
         if not own > high:
-            return i, 0.0
+            return i
         scores[i] = math.inf  # the origin is no candidate
         best = min(scores)
-        j = scores.index(best)
         scores[i] = own
-        if best < low:
-            return j, engine.transfer_delay()
-        return i, 0.0
+        return scores.index(best) if best < low else i
 
-    return route, score
+    return route, score, _running_rate_delay(network)
 
 
 class _Engine:
     """Event loop shared by all policies.
 
-    ``router`` is a ``(route, score)`` pair.  The engine recomputes
-    ``scores[j] = score(engine, j)`` whenever a job joins or leaves node j;
-    ``route(engine, i)`` returns the serving node of a job arriving at i,
-    and its communication delay, from one ``min`` over ``scores`` (ties go
-    to the lowest index).  Static routing has no score.
+    ``router`` is a ``(route, score, transfer_delay)`` triple.  The engine
+    recomputes ``scores[j] = score(engine, j)`` whenever a job joins or
+    leaves node j; ``route(engine, i)`` returns the serving node of a job
+    arriving at i, from one ``min`` over ``scores`` (ties go to the lowest
+    index).  Static routing has no score.  The engine ships a job routed
+    away from its origin, prices it with ``transfer_delay(now, transfers
+    shipped so far)`` and counts it; no router reads the clock or the count.
 
     ``run`` is one loop over local state.  A heap entry is ``(time, seq,
-    kind, node, job)``; a job in transit is ``(index, comm_delay,
-    transferred)`` and waits in its node's FIFO as one flat tuple
-    ``(join_time, index, comm_delay, transferred)``.  The attributes a
-    router reads (``now``, ``transfers_total``, ``queues``, ``scores``,
+    kind, node, job)``; a job in transit is ``(index, comm_delay)`` and
+    waits in its node's FIFO as one flat tuple ``(join_time, index,
+    comm_delay)``.  The attributes a router reads (``queues``, ``scores``,
     ``sojourn_sum``, ``sojourn_count``, ``rng``) are kept current before
     every ``route`` or ``score`` call; the lists are shared, not copied.
     """
@@ -189,29 +202,16 @@ class _Engine:
     def __init__(self, network: Network, cfg: SimConfig, router):
         self.network = network
         self.cfg = cfg
-        self._route, self._score = router
+        self._route, self._score, self._transfer_delay = router
         self.rng = np.random.default_rng(cfg.seed)
         n = len(network)
-        self.now = 0.0
-        self.transfers_total = 0
         self.queues: list[deque] = [deque() for _ in range(n)]
         self.sojourn_sum = [0.0] * n
         self.sojourn_count = [0] * n
         self.scores = [] if self._score is None else [self._score(self, j) for j in range(n)]
 
-    def transfer_delay(self) -> float:
-        """Mean interconnect delay at the running empirical transfer rate."""
-        comm = self.network.comm
-        if self.now <= 0.0:
-            rate = 0.0
-        else:
-            rate = (self.transfers_total + 1) / self.now
-        if math.isfinite(comm.max_rate):
-            rate = min(rate, comm.max_rate * (1.0 - 1e-9))
-        return comm.delay(rate)
-
     def run(self) -> SimReport:
-        route, score = self._route, self._score
+        route, score, transfer_delay = self._route, self._score, self._transfer_delay
         exponential, heappush, heappop = self.rng.exponential, heapq.heappush, heapq.heappop
         queues, scores, sojourn_sum, sojourn_count = self.queues, self.scores, self.sojourn_sum, self.sojourn_count
         nodes = self.network.nodes
@@ -237,18 +237,15 @@ class _Engine:
             now, _, kind, j, job = heappop(heap)
             if kind == _DEPART:
                 queue = queues[j]
-                join, index, comm_delay, transferred = queue.popleft()
+                join, index, comm_delay = queue.popleft()
                 sojourn = now - join
                 sojourn_sum[j] += sojourn
                 sojourn_count[j] += 1
                 if score is not None:
-                    self.now = now
                     scores[j] = score(self, j)
                 if index >= cutoff:
                     responses.append(sojourn)
                     comm_delays.append(comm_delay)
-                    if transferred:
-                        measured_transfers += 1
                 if window_start is not None:
                     start = busy_since[j]
                     if start < window_start:
@@ -271,19 +268,19 @@ class _Engine:
                     scheduled += 1
                     heappush(heap, (now + exponential(mean_gap[j]), seq, _ARRIVE, j, None))
                     seq += 1
-                self.now = now
-                target, comm_delay = route(self, j)
+                target = route(self, j)
                 if target != j:
+                    comm_delay = transfer_delay(now, transfers)
                     transfers += 1
-                    self.transfers_total = transfers
-                    heappush(heap, (now + comm_delay, seq, _JOIN, target, (index, comm_delay, True)))
+                    if index >= cutoff:
+                        measured_transfers += 1
+                    heappush(heap, (now + comm_delay, seq, _JOIN, target, (index, comm_delay)))
                     seq += 1
                     continue
-                queues[j].append((now, index, 0.0, False))
+                queues[j].append((now, index, 0.0))
             else:
                 queues[j].append((now, *job))
             if score is not None:
-                self.now = now
                 scores[j] = score(self, j)
             if busy_since[j] is None:
                 busy_since[j] = now
@@ -313,18 +310,18 @@ def _composite_mean(sojourns: list[float], comm_delays: list[float]) -> float:
     return mean
 
 
-def _batch_means_halfwidth(sojourns: list[float], comm_delays: list[float], batches: int = 20) -> float:
-    """95% halfwidth from batch means of the composite statistic."""
-    per_batch = len(sojourns) // batches
+def _batch_means_halfwidth(sojourns: list[float], comm_delays: list[float]) -> float:
+    """95% halfwidth from ``_BATCHES`` batch means of the composite statistic."""
+    per_batch = len(sojourns) // _BATCHES
     if per_batch < 1:
         return math.inf
     means = []
-    for b in range(batches):
+    for b in range(_BATCHES):
         lo, hi = b * per_batch, (b + 1) * per_batch
         means.append(_composite_mean(sojourns[lo:hi], comm_delays[lo:hi]))
     arr = np.asarray(means)
     spread = float(arr.std(ddof=1))
-    return _T_CRIT_19 * spread / math.sqrt(batches)
+    return _T_CRIT_19 * spread / math.sqrt(_BATCHES)
 
 
 def simulate_static(network: Network, flow: FlowMatrix, cfg: SimConfig) -> SimReport:

@@ -390,9 +390,7 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
         return _no_transfer_solution(network, iterations=0, interior_objective=None)
     lam_tol = 1e-9 * phi_total
     comm = network.comm
-    lam_cap = phi_total
-    if np.isfinite(comm.max_rate):
-        lam_cap = min(lam_cap, comm.max_rate * (1.0 - 1e-9))
+    lam_cap = min(phi_total, comm.max_rate * (1.0 - 1e-9))  # Phi for an unbounded model
     phi = network.arrival_rates
 
     def probe(traffic: float) -> _Probe:

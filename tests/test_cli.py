@@ -271,6 +271,26 @@ class TestSimulate:
             assert main(["simulate", asym_config, "--policy", policy, "--jobs", "2000",
                          "--out", str(tmp_path / f"{policy}.csv")]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["oracle"], ["check"], ["simulate", "--policy", "no_balancing"],
+        ["sweep", "--param", "comm.params.t", "--from", "0.0", "--to", "0.1", "--steps", "2"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("sim, field", [
+        ({"total_jobs": "many"}, "sim: total_jobs"),
+        ({"seed": -1}, "sim: seed"),
+        ({"warmup_fraction": 1.0}, "sim: warmup_fraction"),
+        ({"policy": "bogus"}, "sim.policy"),
+    ], ids=["jobs-string", "seed-negative", "warmup-one", "policy-bogus"])
+    def test_every_command_rejects_malformed_sim_section(self, tmp_path, capsys, argv, sim, field):
+        path = write_config(tmp_path / "sim.json", {
+            "nodes": [{"id": "a", "arrival_rate": 1.0, "service_rate": 4.0},
+                      {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0}],
+            "comm": {"model": "constant", "params": {"t": 0.05}},
+            "sim": sim,
+        })
+        assert main([argv[0], path, *argv[1:]]) == 2
+        assert field in capsys.readouterr().err
+
 
 class TestSweep:
     def test_transfer_cost_sweep(self, asym_config, tmp_path):

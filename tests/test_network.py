@@ -35,6 +35,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             lb.FlowMatrix([[0.0, 0.1, 0.0], [0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_flow_matrix_rejects_non_finite(self, entry):
+        # a NaN used to pass as feasible and simulate as if it were 0; inf warned before it was rejected
+        with pytest.raises(ValueError, match="finite"):
+            lb.FlowMatrix([[0.0, entry], [0.0, 0.0]])
+
     def test_allocation_validation(self):
         net = make_network([1.0, 0.5], [2.0, 2.0])
         lb.Allocation(rates=(0.75, 0.75), transfer_rate=0.25).validate(net)
