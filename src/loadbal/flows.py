@@ -1,12 +1,11 @@
-"""Turning net allocations into explicit transfer matrices, and the
-relay-elimination rewrite.
+"""Turning net transfers into explicit relay-free transfer matrices.
 
 With a pairwise-uniform interconnect the objective depends on a flow
-matrix only through the per-node net flows and the total traffic, so any
-source-to-sink matching is equivalent; synthesis uses a deterministic
-greedy fill in node-index order.  Relay elimination shortcuts any
-two-hop pattern l -> k -> m into a direct l -> m transfer, never changing
-net flows and never increasing total traffic.
+matrix only through each node's net transfer d_i = outflow - inflow and
+the total traffic.  Every plan ships at least sum(max(d_i, 0)), and a
+relay-free plan ships exactly that, so flow synthesis and relay
+elimination build the same object: one deterministic greedy fill that
+matches senders (d > 0) against receivers (d < 0) in node-index order.
 """
 
 from __future__ import annotations
@@ -14,31 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from .delays import CommDelayModel
-from .network import FlowMatrix, Network, NodePartition
+from .network import FlowMatrix, Network, NodePartition, relay_count
 
 
-def synthesize_flows(network: Network, partition: NodePartition, rates) -> FlowMatrix:
-    """Explicit relay-free transfers realizing ``rates`` under ``partition``.
+def _fill(n: int, surplus: dict, deficit: dict) -> FlowMatrix:
+    """Greedy match of senders' surpluses against receivers' deficits, in node-index order.
 
-    Sources' surpluses (arrivals minus processing) are matched against
-    sinks' deficits greedily in node-index order.  Surpluses and deficits
-    must balance to within 1e-9 of the total arrival rate.
+    ``deficit`` is drawn down in place.  Each sender empties exactly: rounding
+    crumbs left after the last receiver fills go to that receiver.
     """
-    beta = np.asarray(rates, dtype=float)
-    phi = network.arrival_rates
-    n = len(network)
-    if beta.shape != (n,):
-        raise ValueError(f"expected {n} rates, got shape {beta.shape}")
-    surplus = {i: phi[i] - beta[i] for i in partition.sources}
-    deficit = {i: beta[i] - phi[i] for i in partition.sinks}
-    bad = sorted(i for i, v in {**surplus, **deficit}.items() if v < -1e-12)
-    if bad:
-        raise ValueError(f"role/rate mismatch at nodes {bad}")
-    tol = 1e-9 * max(network.total_arrival_rate, 1.0)
-    if abs(sum(surplus.values()) - sum(deficit.values())) > tol:
-        raise ValueError(
-            f"source surplus {sum(surplus.values())} != sink deficit {sum(deficit.values())}"
-        )
     x = np.zeros((n, n))
     senders = sorted(surplus)
     receivers = sorted(deficit)
@@ -61,49 +44,52 @@ def synthesize_flows(network: Network, partition: NodePartition, rates) -> FlowM
     return FlowMatrix(x)
 
 
-def _next_rewrite(x: np.ndarray) -> tuple[int, int, int] | None:
-    """Lowest-index relay k with its lowest-index inbound l and outbound m."""
-    inflow = x.sum(axis=0)
-    outflow = x.sum(axis=1)
-    for k in range(x.shape[0]):
-        if inflow[k] > 0 and outflow[k] > 0:
-            l = int(np.argmax(x[:, k] > 0))
-            m = int(np.argmax(x[k, :] > 0))
-            return l, k, m
-    return None
+def synthesize_flows(network: Network, partition: NodePartition, rates) -> FlowMatrix:
+    """Explicit relay-free transfers realizing ``rates`` under ``partition``.
 
-
-def _apply_rewrite(x: np.ndarray, l: int, k: int, m: int) -> None:
-    """Shortcut min(x[l,k], x[k,m]) units of l -> k -> m into l -> m.
-
-    When l == m the two legs cancel outright (a round trip moves nothing).
-    At least one of the two legs drops to exactly zero.
+    Sources' surpluses (arrivals minus processing) are matched against
+    sinks' deficits greedily in node-index order.  Surpluses and deficits
+    must balance to within 1e-9 of the total arrival rate.
     """
-    shift = min(x[l, k], x[k, m])
-    x[l, k] -= shift
-    x[k, m] -= shift
-    if l != m:
-        x[l, m] += shift
+    beta = np.asarray(rates, dtype=float)
+    phi = network.arrival_rates
+    n = len(network)
+    if beta.shape != (n,):
+        raise ValueError(f"expected {n} rates, got shape {beta.shape}")
+    if len(partition.roles) != n:
+        raise ValueError(f"partition has {len(partition.roles)} roles but network has {n} nodes")
+    surplus = {i: phi[i] - beta[i] for i in partition.sources}
+    deficit = {i: beta[i] - phi[i] for i in partition.sinks}
+    bad = sorted(i for i, v in {**surplus, **deficit}.items() if v < -1e-12)
+    if bad:
+        raise ValueError(f"role/rate mismatch at nodes {bad}")
+    tol = 1e-9 * max(network.total_arrival_rate, 1.0)
+    if abs(sum(surplus.values()) - sum(deficit.values())) > tol:
+        raise ValueError(
+            f"source surplus {sum(surplus.values())} != sink deficit {sum(deficit.values())}"
+        )
+    return _fill(n, surplus, deficit)
 
 
 def eliminate_relays(flow: FlowMatrix, comm: CommDelayModel | None = None) -> FlowMatrix:
-    """Rewrite ``flow`` until no node both receives and sends.
+    """A relay-free plan with the same net transfers as ``flow``.
 
-    Net node flows are preserved and total traffic never increases, so for
-    any non-decreasing interconnect delay the communication cost cannot go
-    up (and with a non-decreasing G(x)/x this is exactly the guarantee the
-    optimality argument needs).  Terminates because every rewrite zeroes at
-    least one positive entry incident to the current relay and resolved
-    nodes never regain both directions.
+    A relay-free ``flow`` is returned as it is.  Otherwise the greedy fill
+    rebuilds the plan from d = outflow - inflow.  Any plan ships at least
+    sum(max(d, 0)) and the result ships exactly that, so total traffic never
+    increases, and for any non-decreasing interconnect delay the
+    communication cost cannot go up (with a non-decreasing G(x)/x this is
+    exactly the guarantee the optimality argument needs).
 
-    ``comm``, when given, is checked: a ValueError is raised if the rewrite
+    ``comm``, when given, is checked: a ValueError is raised if the new plan
     raised its per-transfer delay, which a delay falling with traffic can do.
     """
-    x = flow.matrix.copy()
+    if relay_count(flow) == 0:
+        return flow
+    d = flow.outflow() - flow.inflow()
+    out = _fill(len(flow), {i: d[i] for i in np.flatnonzero(d > 0)},
+                {i: -d[i] for i in np.flatnonzero(d < 0)})
     lam_before = flow.total_rate
-    while (step := _next_rewrite(x)) is not None:
-        _apply_rewrite(x, *step)
-    out = FlowMatrix(x)
     if comm is not None and lam_before > 0 and out.total_rate > 0:
         cost_before, cost_after = comm.delay(lam_before), comm.delay(out.total_rate)
         if not cost_after <= cost_before * (1 + 1e-12):

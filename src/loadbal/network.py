@@ -261,6 +261,26 @@ def comm_term(network: Network, traffic) -> np.ndarray:
     return np.where(saturated, INFINITE, term)
 
 
+def net_transfer_roles(arrivals, net_transfers, boundary: float, idle_below: float) -> NodePartition:
+    """Roles read off net transfers d = outflow - inflow.
+
+    A node with d > ``boundary`` is a source, idle if its rate arrivals - d
+    is at most ``idle_below``; one with d < -``boundary`` is a sink; the rest
+    are neutral.  Relays are not visible in net transfers.
+    """
+    d = np.asarray(net_transfers, dtype=float)
+    beta = arrivals - d
+    roles = []
+    for i in range(len(d)):
+        if d[i] > boundary:
+            roles.append(NodeRole.IDLE_SOURCE if beta[i] <= idle_below else NodeRole.ACTIVE_SOURCE)
+        elif d[i] < -boundary:
+            roles.append(NodeRole.SINK)
+        else:
+            roles.append(NodeRole.NEUTRAL)
+    return NodePartition(roles=tuple(roles))
+
+
 def objective(network: Network, rates, traffic):
     """Aggregate objective sum_i beta_i F_i(beta_i) + Phi * G(lambda), row by row.
 
@@ -322,20 +342,10 @@ def classify_roles(network: Network, flow: FlowMatrix) -> NodePartition:
         raise InfeasibleFlowError("; ".join(report.violations))
     inflow = flow.inflow()
     outflow = flow.outflow()
-    beta = np.asarray(report.processing_rates)
     atol = 1e-12 * max(network.total_arrival_rate, 1.0)
-    roles = []
-    for i in range(len(network)):
-        has_in = inflow[i] > 0
-        has_out = outflow[i] > 0
-        if has_in and has_out:
-            roles.append(NodeRole.RELAY)
-        elif has_out:
-            roles.append(NodeRole.IDLE_SOURCE if beta[i] <= atol else NodeRole.ACTIVE_SOURCE)
-        elif has_in:
-            roles.append(NodeRole.SINK)
-        else:
-            roles.append(NodeRole.NEUTRAL)
+    roles = list(net_transfer_roles(network.arrival_rates, outflow - inflow, 0.0, atol).roles)
+    for i in np.flatnonzero((inflow > 0) & (outflow > 0)):
+        roles[i] = NodeRole.RELAY
     return NodePartition(roles=tuple(roles))
 
 

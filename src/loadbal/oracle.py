@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Allocation, Network, NodePartition, NodeRole, comm_term, node_terms, objective
+from .network import Allocation, Network, comm_term, net_transfer_roles, node_terms, objective
 from .solver import OptimalSolution
 
 #: grid points scored per block; bounds every per-point temporary (256 KiB of float64),
@@ -181,19 +181,6 @@ def _blocks(shape: tuple[int, ...]):
             yield tuple(slice(i, i + 1) for i in lead) + (slice(start, start + run),) + whole
 
 
-def _roles_from_transfers(network: Network, net_transfers, boundary: float) -> NodePartition:
-    roles = []
-    for i, d in enumerate(net_transfers):
-        beta = network.arrival_rates[i] - d
-        if d > boundary:
-            roles.append(NodeRole.IDLE_SOURCE if beta <= boundary else NodeRole.ACTIVE_SOURCE)
-        elif d < -boundary:
-            roles.append(NodeRole.SINK)
-        else:
-            roles.append(NodeRole.NEUTRAL)
-    return NodePartition(roles=tuple(roles))
-
-
 def compare_solutions(solver_out: OptimalSolution, oracle_out: OracleResult,
                       network: Network, objective_tol: float = 1e-5) -> ComparisonReport:
     """Objective gap, rate deviation and role agreement, solver vs oracle.
@@ -209,7 +196,7 @@ def compare_solutions(solver_out: OptimalSolution, oracle_out: OracleResult,
     oracle_beta = np.asarray(oracle_out.allocation.rates)
     max_dev = float(np.abs(solver_beta - oracle_beta).max())
     boundary = max(4.0 * oracle_out.resolution, 1e-9)
-    oracle_partition = _roles_from_transfers(network, oracle_out.net_transfers, boundary)
+    oracle_partition = net_transfer_roles(network.arrival_rates, oracle_out.net_transfers, boundary, boundary)
     return ComparisonReport(
         objective_gap=float(gap),
         max_rate_deviation=max_dev,

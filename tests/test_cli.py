@@ -352,8 +352,12 @@ class TestLogging:
         import subprocess
         import sys
 
+        # the child imports the loadbal this suite imports
+        src = str(Path(lb.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
         def run(level):
-            env = dict(os.environ, LOADBAL_LOG=level)
+            env = dict(os.environ, LOADBAL_LOG=level, PYTHONPATH=path)
             return subprocess.run(
                 [sys.executable, "-m", "loadbal", "solve", asym_config],
                 capture_output=True, text=True, env=env,
