@@ -18,7 +18,7 @@ print(f"total traffic {flow.total_rate:.2f}, relays: {lb.relay_count(flow)}")
 print()
 
 out = lb.eliminate_relays(flow)
-print("after shortcutting every two-hop pattern:")
+print("after rebuilding the plan from its net transfers:")
 print(out.matrix)
 print(f"total traffic {out.total_rate:.2f}, relays: {lb.relay_count(out)}")
 print()

@@ -9,7 +9,8 @@ Commands::
     loadbal sweep    CONFIG --param PATH --from A --to B --steps K [--out FILE]
 
 Each command reads its config file once.  ``sweep`` solves its points one after
-another, each writing its value into that one config.
+another, each writing its value into that one config; it parses the node list
+once, and again at every point only when ``--param`` is under ``nodes``.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 non-convergence.
 ``LOADBAL_LOG={error|info|debug}`` controls diagnostics on standard error.
@@ -29,7 +30,8 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .config import ConfigError, Scenario, network_to_config, parse_config, read_config, sim_config
+from .config import (ConfigError, Scenario, network_to_config, parse_config, parse_sections, read_config,
+                     sim_config)
 from .network import Network, UnstableNetworkError
 from .flows import synthesize_flows
 from .oracle import ComparisonReport, OracleResult, brute_force_optimum, compare_solutions
@@ -197,8 +199,8 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _set_config_path(data: dict, path: str, value: float) -> None:
-    """Assign ``value`` at a dotted path like ``comm.params.t`` or ``nodes.0.arrival_rate``."""
+def _config_leaf(data: dict, path: str) -> tuple:
+    """The container and key of the number at a dotted path like ``comm.params.t`` or ``nodes.0.arrival_rate``."""
     *parents, leaf = path.split(".")
     target = data
     for part in parents:
@@ -206,7 +208,7 @@ def _set_config_path(data: dict, path: str, value: float) -> None:
     key = _config_key(target, leaf, path)
     if not isinstance(target[key], (int, float)) or isinstance(target[key], bool):
         raise ConfigError(f"param path {path!r}: does not address a number")
-    target[key] = value
+    return target, key
 
 
 def _config_key(target, part: str, path: str):
@@ -223,14 +225,13 @@ def _config_key(target, part: str, path: str):
     raise ConfigError(f"param path {path!r}: no such field {part!r}")
 
 
-def _sweep_row(data: dict, path: str, value: float) -> list:
-    """Write ``value`` at ``path`` into ``data`` (over the last point's value) and solve it."""
-    _set_config_path(data, path, value)
+def _sweep_row(data: dict, value: float, nodes: tuple | None) -> list:
+    """Solve ``data``, which holds the point ``value``; ``nodes`` are its parsed nodes, or None to parse them."""
     try:
-        scenario = parse_config(data)
+        scenario = parse_config(data) if nodes is None else parse_sections(data, nodes)
         solution = solve(scenario.network, scenario.solver)
     except ConfigError as exc:
-        # parse_config wraps the network's UnstableNetworkError in a ConfigError
+        # the parse wraps the network's UnstableNetworkError in a ConfigError
         label = "unstable" if isinstance(exc.__cause__, UnstableNetworkError) else "invalid"
         return [repr(value), "nan", "nan", "nan", label]
     except ConvergenceError:
@@ -240,14 +241,20 @@ def _sweep_row(data: dict, path: str, value: float) -> list:
 
 
 def cmd_sweep(args) -> int:
-    data, _ = _load(args.config)  # a config that is invalid before any point is set exits 2
+    data, scenario = _load(args.config)  # a config that is invalid before any point is set exits 2
     if args.steps < 2:
         raise _UsageError("--steps must be >= 2")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise _UsageError(f"--from and --to must be finite, got {args.start!r} and {args.stop!r}")
     values = [args.start + (args.stop - args.start) * k / (args.steps - 1) for k in range(args.steps)]
-    # the first point's assignment rejects a bad --param before anything is solved
-    rows = [_sweep_row(data, args.param, v) for v in values]
+    target, key = _config_leaf(data, args.param)  # a bad --param exits 2 before anything is solved
+    integral = isinstance(target[key], int)  # e.g. sim.seed: each whole value is written as an int
+    # a point that leaves the node list alone reuses the nodes parsed above
+    nodes = None if args.param.split(".")[0] == "nodes" else scenario.network.nodes
+    rows = []
+    for value in values:
+        target[key] = int(value) if integral and value.is_integer() else value
+        rows.append(_sweep_row(data, value, nodes))
     _emit_csv([["param_value", "alpha", "lambda", "mean_response", "roles"], *rows], args.out)
     return EXIT_OK
 

@@ -111,15 +111,11 @@ def _comm_from_config(data, path: str) -> CommDelayModel:
     raise ConfigError(f"{path}.model: unknown model {model!r} (expected constant, mm1_channel or polynomial)")
 
 
-def parse_config(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected an object")
-    _known_fields(data, ("nodes", "comm", "solver", "sim"), "config")
-    nodes_data = _require(data, "nodes", "config")
-    if not isinstance(nodes_data, list) or not nodes_data:
+def _nodes_from_config(data) -> tuple[Node, ...]:
+    if not isinstance(data, list) or not data:
         raise ConfigError("nodes: expected a non-empty list")
     nodes = []
-    for k, nd in enumerate(nodes_data):
+    for k, nd in enumerate(data):
         path = f"nodes[{k}]"
         if not isinstance(nd, dict):
             raise ConfigError(f"{path}: expected an object")
@@ -132,6 +128,18 @@ def parse_config(data: dict) -> Scenario:
             nodes.append(Node(id=node_id, arrival_rate=arrival, delay=MM1NodeDelay(service_rate=service)))
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+    return tuple(nodes)
+
+
+def parse_config(data: dict) -> Scenario:
+    if not isinstance(data, dict):
+        raise ConfigError("top level: expected an object")
+    _known_fields(data, ("nodes", "comm", "solver", "sim"), "config")
+    return parse_sections(data, _nodes_from_config(_require(data, "nodes", "config")))
+
+
+def parse_sections(data: dict, nodes: tuple[Node, ...]) -> Scenario:
+    """The scenario of config ``data`` on its already parsed (frozen, so shareable) ``nodes``."""
     comm = _comm_from_config(_require(data, "comm", "config"), "comm")
     try:
         network = Network(nodes, comm)

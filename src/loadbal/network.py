@@ -192,7 +192,7 @@ class NodePartition:
 
     def compact(self) -> str:
         """Single-letter role string in node order, e.g. ``"A,S,N"``."""
-        return ",".join(_COMPACT[r] for r in self.roles)
+        return ",".join([_COMPACT[r] for r in self.roles])
 
 
 @dataclass(frozen=True)

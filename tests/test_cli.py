@@ -1,5 +1,6 @@
 """Command-line interface: contracts, exit codes, determinism."""
 
+import copy
 import csv
 import json
 import math
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import loadbal as lb
+import loadbal.config
 from loadbal.cli import main
 
 
@@ -344,6 +346,80 @@ class TestSweep:
         assert main(["sweep", asym_config, "--param", param,
                      "--from", "0", "--to", "1", "--steps", "3"]) == 2
         assert message in capsys.readouterr().err
+
+
+def reference_row(data, path, value):
+    """The sweep row of ``value`` at ``path``: a fresh copy of ``data`` holding it, parsed whole and solved."""
+    data = copy.deepcopy(data)
+    *parents, leaf = path.split(".")
+    target = data
+    for part in parents:
+        target = target[int(part) if isinstance(target, list) else part]
+    key = int(leaf) if isinstance(target, list) else leaf
+    target[key] = int(value) if type(target[key]) is int and value.is_integer() else value
+    try:
+        scenario = lb.parse_config(data)
+        solution = lb.solve(scenario.network, scenario.solver)
+    except lb.ConfigError as exc:
+        label = "unstable" if isinstance(exc.__cause__, lb.UnstableNetworkError) else "invalid"
+        return [repr(value), "nan", "nan", "nan", label]
+    except lb.ConvergenceError:
+        return [repr(value), "nan", "nan", "nan", "no_convergence"]
+    mean = solution.objective / scenario.network.total_arrival_rate
+    return [repr(value), repr(solution.alpha), repr(solution.allocation.transfer_rate), repr(mean),
+            solution.partition.compact()]
+
+
+#: a config with every section, so any of them can be swept
+FULL_CONFIG = {
+    "nodes": [
+        {"id": "a", "arrival_rate": 1.5, "service_rate": 4.0},
+        {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0},
+    ],
+    "comm": {"model": "constant", "params": {"t": 0.05}},
+    "solver": {"max_outer": 200},
+    "sim": {"total_jobs": 8000, "seed": 11, "warmup_fraction": 0.1},
+}
+
+
+class TestSweepPoints:
+    @pytest.mark.parametrize("param, start, stop, steps, labels", [
+        ("comm.params.t", -0.1, 0.3, 5, {"invalid"}),
+        ("solver.max_outer", 0.0, 4.0, 5, {"invalid"}),
+        ("sim.warmup_fraction", -0.5, 1.0, 4, {"invalid"}),
+        ("nodes.0.arrival_rate", -1.0, 9.0, 6, {"invalid", "unstable"}),
+    ])
+    def test_rows_match_a_fresh_parse(self, tmp_path, capsys, param, start, stop, steps, labels):
+        # whether or not the sweep reuses its parsed nodes, each row is the one a fresh parse gives
+        config = write_config(tmp_path / "full.json", FULL_CONFIG)
+        assert main(["sweep", config, "--param", param, "--from", repr(start), "--to", repr(stop),
+                     "--steps", str(steps)]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert len(rows) == steps
+        assert rows == [reference_row(FULL_CONFIG, param, float(row[0])) for row in rows]
+        assert labels <= {row[4] for row in rows}
+        assert any(row[1] != "nan" for row in rows)
+
+    @pytest.mark.parametrize("param", ["solver.max_outer", "sim.seed", "sim.total_jobs"])
+    def test_integer_field_gets_whole_values(self, tmp_path, capsys, param):
+        config = write_config(tmp_path / "full.json", FULL_CONFIG)
+        assert main(["sweep", config, "--param", param, "--from", "1", "--to", "3", "--steps", "3"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert [row[0] for row in rows] == ["1.0", "2.0", "3.0"]
+        assert all(row[4] not in ("invalid", "unstable", "no_convergence") for row in rows)
+
+    @pytest.mark.parametrize("param, parses", [("comm.params.t", 1), ("nodes.0.arrival_rate", 1 + 4)])
+    def test_node_list_parsed_once_unless_swept(self, asym_config, monkeypatch, capsys, param, parses):
+        calls = []
+        parse_nodes = loadbal.config._nodes_from_config
+
+        def counted(data):
+            calls.append(data)
+            return parse_nodes(data)
+
+        monkeypatch.setattr(loadbal.config, "_nodes_from_config", counted)
+        assert main(["sweep", asym_config, "--param", param, "--from", "0.5", "--to", "1.0", "--steps", "4"]) == 0
+        assert len(calls) == parses
 
 
 class TestLogging:

@@ -99,7 +99,7 @@ class TestEliminateRelays:
             def delay(self, rate):
                 return 1.0 / (1.0 + rate)
 
-        # shortcutting 0 -> 1 -> 2 halves the traffic, so this delay rises
+        # shipping 0 -> 2 direct instead of 0 -> 1 -> 2 halves the traffic, so this delay rises
         flow = lb.FlowMatrix([[0.0, 0.4, 0.0], [0.0, 0.0, 0.4], [0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match="raised the communication cost"):
             lb.eliminate_relays(flow, FallingCommDelay())
