@@ -207,19 +207,45 @@ def n20_network():
     return make_network(arrivals, services), lb.FlowMatrix(flow)
 
 
+def n40_network():
+    """Four groups of ten identical nodes: loaded, lightly loaded, idle slow and idle fast.
+
+    Ties among identical nodes are the rule here, so a queue-state pick that
+    broke them differently from the lowest index would show.  Each loaded node
+    ships to its idle fast partner and each lightly loaded one to its idle
+    slow partner.
+    """
+    arrivals = [1.6] * 10 + [0.3] * 10 + [0.0] * 20
+    services = [2.0] * 10 + [3.0] * 10 + [1.0] * 10 + [4.0] * 10
+    flow = np.zeros((40, 40))
+    for i in range(10):
+        flow[i, 30 + i] = 0.6
+        flow[10 + i, 20 + i] = 0.1
+    return make_network(arrivals, services, lb.MM1ChannelCommDelay(0.02, 100.0)), lb.FlowMatrix(flow)
+
+
+N40_THRESHOLDS = (0.5, 1.0)
+
+
 def golden_path_cases():
     """Engine paths the n=5 trace misses: a window from t=0, one job, one job
-    per arriving node, and a larger network.  Each case is (id, network, cfg,
-    flow, thresholds); golden_sim.json holds each ``repr(SimReport)``, recorded
-    before the event loop was inlined into one function."""
+    per arriving node, and larger networks.  Each case is (id, network, cfg,
+    flow, thresholds); golden_sim.json holds each ``repr(SimReport)``.  The
+    n=5 and n=20 reports were recorded before the event loop was inlined into
+    one function, the n=40 ones before queue-state routers picked from a heap."""
     net5, flow5 = golden_network(), lb.FlowMatrix(GOLDEN_FLOW)
     net20, flow20 = n20_network()
+    net40, flow40 = n40_network()
     for policy in lb.Policy:
         yield (f"warmup0-{policy.value}", net5,
                lb.SimConfig(total_jobs=2000, seed=33, warmup_fraction=0.0, policy=policy), flow5, GOLDEN_THRESHOLDS)
         for jobs in (1, 3):
             yield f"jobs{jobs}-{policy.value}", net5, lb.SimConfig(jobs, seed=34, policy=policy), flow5, GOLDEN_THRESHOLDS
         yield f"n20-{policy.value}", net20, lb.SimConfig(3000, seed=35, policy=policy), flow20, (0.6, 0.9)
+        for seed in (7, 8):
+            for warmup in (0.0, 0.1):
+                cfg = lb.SimConfig(3000, seed=seed, warmup_fraction=warmup, policy=policy)
+                yield f"n40-seed{seed}-warmup{warmup:g}-{policy.value}", net40, cfg, flow40, N40_THRESHOLDS
 
 
 GOLDEN_PATHS = {case[0]: case[1:] for case in golden_path_cases()}
