@@ -19,28 +19,33 @@ from .network import FlowMatrix, Network, NodePartition, relay_count
 def _fill(n: int, surplus: dict, deficit: dict) -> FlowMatrix:
     """Greedy match of senders' surpluses against receivers' deficits, in node-index order.
 
-    ``deficit`` is drawn down in place.  Each sender empties exactly: rounding
-    crumbs left after the last receiver fills go to that receiver.
+    Each sender empties exactly: rounding crumbs left after the last receiver
+    fills go to that receiver.  The matching runs on Python floats and the
+    matrix is written in one scatter.
     """
-    x = np.zeros((n, n))
-    senders = sorted(surplus)
     receivers = sorted(deficit)
+    left = [float(deficit[r]) for r in receivers]
+    entries: dict[tuple[int, int], float] = {}
     j = 0
-    for i in senders:
-        remaining = max(surplus[i], 0.0)
+    for i in sorted(surplus):
+        remaining = max(float(surplus[i]), 0.0)
         while remaining > 0 and j < len(receivers):
-            r = receivers[j]
-            take = min(remaining, deficit[r])
+            take = min(remaining, left[j])
             if take > 0:
-                x[i, r] += take
+                entries[i, receivers[j]] = take
                 remaining -= take
-                deficit[r] -= take
-            if deficit[r] <= 0:
+                left[j] -= take
+            if left[j] <= 0:
                 j += 1
         if remaining > 0 and receivers:
             # rounding crumbs after the last sink fills: sources must empty
             # exactly or an idle source would keep a sliver of load
-            x[i, receivers[-1]] += remaining
+            key = i, receivers[-1]
+            entries[key] = entries.get(key, 0.0) + remaining
+    x = np.zeros((n, n))
+    if entries:
+        rows, cols = zip(*entries)
+        x[rows, cols] = list(entries.values())
     return FlowMatrix(x)
 
 

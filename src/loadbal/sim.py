@@ -1,16 +1,18 @@
 """Seeded discrete-event simulation of the network under routing policies.
 
 One event loop drives every policy through one router protocol: a
-policy scores each node, the engine keeps the scores current, and the
-router picks the serving node with one ``min``.  Routers only route: the
-engine ships each transfer, prices it with the policy's delay function
-and counts it (see ``_Engine``).  The loop is a single function over
-local state: a job is a plain tuple and each event is handled inline,
-with no per-event method call.  All randomness comes from a single numpy
-generator consumed in event order, so a seed pins the whole trace bit
-for bit.  Policies that do not use randomness for routing consume none,
-which makes e.g. the threshold policy with an unreachable upper
-threshold reproduce the no-balancing trace exactly.
+policy scores each node, the engine keeps the scores current and ranked
+in a heap, and the router picks the serving node from the top of that
+heap.  Routers only route: the engine ships each transfer, prices it
+with the policy's delay function and counts it (see ``_Engine``).  The
+loop is a single function over local state: a job is a plain tuple and
+each event is handled inline, with no per-event method call.  All
+randomness comes from a single numpy generator consumed in event order,
+so a seed pins the whole trace bit for bit.  Policies that do not use
+randomness for routing consume none, which makes e.g. the threshold
+policy with an unreachable upper threshold reproduce the no-balancing
+trace exactly; their runs take the exponentials in blocks, which read
+the same stream as one draw at a time.
 
 The reported ``mean_response_time`` is directly comparable to the
 analytic objective: mean node sojourn per completed job, plus the mean
@@ -39,6 +41,11 @@ _BATCHES = 20
 _T_CRIT_19 = 2.093024054408263
 
 _ARRIVE, _JOIN, _DEPART = 0, 1, 2
+
+#: standard exponentials drawn per numpy call by runs that draw no uniforms
+_BLOCK = 1024
+#: entries per node at which a queue-state run rebuilds its score heap
+_RERANK_PER_NODE = 4
 
 
 class Policy(Enum):
@@ -86,6 +93,7 @@ def _static_router(network: Network, flow: FlowMatrix):
 
     Bisects one uniform per arrival into the node's cumulative split
     probabilities; arrivals at nodes with no outgoing flow consume none.
+    A flow with no splits at all routes nothing: its ``route`` is None.
     Transfers pay the fixed mean delay G at the flow's total traffic.
 
     Every table comes from one array division of the positive entries of
@@ -109,7 +117,7 @@ def _static_router(network: Network, flow: FlowMatrix):
             return i
         return choices[bisect_right(cum, engine.rng.random())]
 
-    return route, None, lambda now, transfers: comm
+    return route if len(rows) else None, None, lambda now, transfers: comm
 
 
 def _running_rate_delay(network: Network):
@@ -128,7 +136,39 @@ def _running_rate_delay(network: Network):
 
 
 def _route_to_min(engine: "_Engine", i: int) -> int:
-    return engine.scores.index(min(engine.scores))
+    """The lowest-index node of least score: ``scores.index(min(scores))``.
+
+    Stale heap entries (a score since rewritten) are dropped off the top
+    until the top entry is current.
+    """
+    scores, ranked = engine.scores, engine.ranked
+    s, j = ranked[0]
+    while scores[j] != s:
+        heapq.heappop(ranked)
+        s, j = ranked[0]
+    return j
+
+
+def _best_other(engine: "_Engine", i: int) -> int:
+    """``_route_to_min`` over every node but i; i itself if it is the only node.
+
+    The origin's current entries are set aside while the top is read, and
+    one of them is pushed back.
+    """
+    scores, ranked = engine.scores, engine.ranked
+    best, aside = i, None
+    while ranked:
+        s, j = ranked[0]
+        if scores[j] != s:
+            heapq.heappop(ranked)
+        elif j == i:
+            aside = heapq.heappop(ranked)
+        else:
+            best = j
+            break
+    if aside is not None:
+        heapq.heappush(ranked, aside)
+    return best
 
 
 def _queue_state_router(network: Network, expected_delay: bool):
@@ -168,16 +208,18 @@ def _threshold_router(network: Network, low: float, high: float):
         return delays[j].marginal_delay(load)
 
     def route(engine: "_Engine", i: int) -> int:
-        scores = engine.scores
-        own = scores[i]
-        if not own > high:
+        if not engine.scores[i] > high:
             return i
-        scores[i] = math.inf  # the origin is no candidate
-        best = min(scores)
-        scores[i] = own
-        return scores.index(best) if best < low else i
+        best = _best_other(engine, i)
+        return best if engine.scores[best] < low else i
 
     return route, score, _running_rate_delay(network)
+
+
+def _standard_exponentials(rng: np.random.Generator):
+    """The generator's standard exponentials, drawn ``_BLOCK`` at a time."""
+    while True:
+        yield from rng.standard_exponential(_BLOCK).tolist()
 
 
 class _Engine:
@@ -185,17 +227,31 @@ class _Engine:
 
     ``router`` is a ``(route, score, transfer_delay)`` triple.  The engine
     recomputes ``scores[j] = score(engine, j)`` whenever a job joins or
-    leaves node j; ``route(engine, i)`` returns the serving node of a job
-    arriving at i, from one ``min`` over ``scores`` (ties go to the lowest
-    index).  Static routing has no score.  The engine ships a job routed
-    away from its origin, prices it with ``transfer_delay(now, transfers
-    shipped so far)`` and counts it; no router reads the clock or the count.
+    leaves node j and pushes ``(scores[j], j)`` onto the heap ``ranked``;
+    ``route(engine, i)`` returns the serving node of a job arriving at i.
+    A queue-state router picks from the top of ``ranked``: every node has
+    an entry holding its current score, and an entry whose score has since
+    been rewritten is stale, so the least current entry is the node of
+    least score with ties going to the lowest index, exactly
+    ``scores.index(min(scores))``.  Picks drop stale entries off the top;
+    the heap is rebuilt from ``scores`` once it holds ``_RERANK_PER_NODE``
+    entries per node.  Static routing has no score, and a flow with no
+    splits has no route.  The engine ships a job routed away from its
+    origin, prices it with ``transfer_delay(now, transfers shipped so
+    far)`` and counts it; no router reads the clock or the count.
+
+    Only a static router with splits draws uniforms, one per arrival at a
+    node with splits, interleaved with the exponentials.  Every other run
+    draws its standard exponentials ``_BLOCK`` at a time and scales them by
+    the mean: numpy's ``exponential(mean)`` is ``mean *
+    standard_exponential()``, and a block reads the same stream as scalar
+    calls, so the trace is the same bit for bit.
 
     ``run`` is one loop over local state.  A heap entry is ``(time, seq,
     kind, node, job)``; a job in transit is ``(index, comm_delay)`` and
     waits in its node's FIFO as one flat tuple ``(join_time, index,
     comm_delay)``.  The attributes a router reads (``queues``, ``scores``,
-    ``sojourn_sum``, ``sojourn_count``, ``rng``) are kept current before
+    ``ranked``, ``sojourn_sum``, ``sojourn_count``, ``rng``) are kept current before
     every ``route`` or ``score`` call; the lists are shared, not copied.
     """
 
@@ -209,13 +265,26 @@ class _Engine:
         self.sojourn_sum = [0.0] * n
         self.sojourn_count = [0] * n
         self.scores = [] if self._score is None else [self._score(self, j) for j in range(n)]
+        self.ranked: list[tuple[float, int]] = []
+        self._rerank()
+
+    def _rerank(self) -> None:
+        """Rebuild ``ranked`` in place from the current scores, one entry per node."""
+        self.ranked[:] = zip(self.scores, range(len(self.scores)))
+        heapq.heapify(self.ranked)
 
     def run(self) -> SimReport:
         route, score, transfer_delay = self._route, self._score, self._transfer_delay
-        exponential, heappush, heappop = self.rng.exponential, heapq.heappush, heapq.heappop
-        queues, scores, sojourn_sum, sojourn_count = self.queues, self.scores, self.sojourn_sum, self.sojourn_count
+        if route is not None and score is None:
+            standard_exponential = self.rng.standard_exponential
+        else:
+            standard_exponential = _standard_exponentials(self.rng).__next__
+        heappush, heappop = heapq.heappush, heapq.heappop
+        queues, scores, ranked = self.queues, self.scores, self.ranked
+        sojourn_sum, sojourn_count = self.sojourn_sum, self.sojourn_count
         nodes = self.network.nodes
         n = len(nodes)
+        rerank_at = _RERANK_PER_NODE * n
         mean_gap = [1.0 / node.arrival_rate if node.arrival_rate > 0 else None for node in nodes]
         mean_service = [1.0 / node.delay.service_rate for node in nodes]
         busy_since: list[float | None] = [None] * n
@@ -231,7 +300,7 @@ class _Engine:
         for i in range(n):
             if mean_gap[i] is not None and scheduled < total_jobs:
                 scheduled += 1
-                heappush(heap, (exponential(mean_gap[i]), seq, _ARRIVE, i, None))
+                heappush(heap, (mean_gap[i] * standard_exponential(), seq, _ARRIVE, i, None))
                 seq += 1
         while heap:
             now, _, kind, j, job = heappop(heap)
@@ -242,7 +311,10 @@ class _Engine:
                 sojourn_sum[j] += sojourn
                 sojourn_count[j] += 1
                 if score is not None:
-                    scores[j] = score(self, j)
+                    scores[j] = s = score(self, j)
+                    heappush(ranked, (s, j))
+                    if len(ranked) > rerank_at:
+                        self._rerank()
                 if index >= cutoff:
                     responses.append(sojourn)
                     comm_delays.append(comm_delay)
@@ -254,7 +326,7 @@ class _Engine:
                         busy_time[j] += now - start
                 if queue:
                     busy_since[j] = now
-                    heappush(heap, (now + exponential(mean_service[j]), seq, _DEPART, j, None))
+                    heappush(heap, (now + mean_service[j] * standard_exponential(), seq, _DEPART, j, None))
                     seq += 1
                 else:
                     busy_since[j] = None
@@ -266,9 +338,9 @@ class _Engine:
                     window_start = now
                 if scheduled < total_jobs:
                     scheduled += 1
-                    heappush(heap, (now + exponential(mean_gap[j]), seq, _ARRIVE, j, None))
+                    heappush(heap, (now + mean_gap[j] * standard_exponential(), seq, _ARRIVE, j, None))
                     seq += 1
-                target = route(self, j)
+                target = j if route is None else route(self, j)
                 if target != j:
                     comm_delay = transfer_delay(now, transfers)
                     transfers += 1
@@ -281,10 +353,13 @@ class _Engine:
             else:
                 queues[j].append((now, *job))
             if score is not None:
-                scores[j] = score(self, j)
+                scores[j] = s = score(self, j)
+                heappush(ranked, (s, j))
+                if len(ranked) > rerank_at:
+                    self._rerank()
             if busy_since[j] is None:
                 busy_since[j] = now
-                heappush(heap, (now + exponential(mean_service[j]), seq, _DEPART, j, None))
+                heappush(heap, (now + mean_service[j] * standard_exponential(), seq, _DEPART, j, None))
                 seq += 1
 
         window = now - (window_start or 0.0)

@@ -1,14 +1,18 @@
 """Simulator: analytic fidelity, determinism and policy behavior."""
 
 import dataclasses
+import heapq
+import importlib.util
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import loadbal as lb
+from loadbal import sim
 
 from conftest import make_network
 
@@ -264,3 +268,75 @@ def test_unreachable_threshold_is_no_balancing_on_golden_network(seed):
     dyn = lb.simulate_dynamic(net, (GOLDEN_THRESHOLDS[0], math.inf), lb.SimConfig(total_jobs=4000, seed=seed))
     idle = lb.simulate(net, lb.SimConfig(total_jobs=4000, seed=seed, policy=lb.Policy.NO_BALANCING))
     assert dyn == idle
+
+
+def bench_sim_network(seed, n):
+    """The network of the benchmark's simulate-policies workload, from bench/instances.py."""
+    spec = importlib.util.spec_from_file_location("bench_instances", Path(__file__).parents[1] / "bench" / "instances.py")
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    return lb.parse_config(instances.sim_scenario(seed, n)).network
+
+
+@pytest.mark.parametrize("network", ["n40", "bench-n200"])
+def test_unreachable_threshold_is_no_balancing_at_scale(network):
+    # both sides draw their exponentials in blocks, so this pins that they share one stream
+    net = n40_network()[0] if network == "n40" else bench_sim_network(1, 200)
+    low = lb.solve(net).alpha
+    for seed in (1, 2, 3):
+        dyn = lb.simulate_dynamic(net, (low, math.inf), lb.SimConfig(total_jobs=5000, seed=seed))
+        idle = lb.simulate(net, lb.SimConfig(total_jobs=5000, seed=seed, policy=lb.Policy.NO_BALANCING))
+        assert dyn == idle
+
+
+def old_threshold_pick(scores, i, low, high):
+    """The threshold policy's pick before the score heap: mask the origin with inf and scan."""
+    if not scores[i] > high:
+        return i
+    masked = scores[:i] + [math.inf] + scores[i + 1:]
+    best = min(masked)
+    return masked.index(best) if best < low else i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+def test_ranked_pick_matches_scan(n):
+    """Random score writes in the engine's protocol: every write pushes its entry, and
+    the heap is rebuilt from the scores now and then.  Small ints make ties common."""
+    rng = np.random.default_rng(n)
+    scores = [0.0] * n
+    engine = SimpleNamespace(scores=scores, ranked=[])
+    sim._Engine._rerank(engine)
+    route = sim._threshold_router(make_network([0.0] * n, [1.0] * n), 2.0, 3.0)[0]
+    for _ in range(3000):
+        j = int(rng.integers(n))
+        kind = rng.random()
+        s = float(rng.integers(6)) if kind < 0.6 else math.inf if kind < 0.7 else float(rng.uniform(0.0, 6.0))
+        scores[j] = s
+        heapq.heappush(engine.ranked, (s, j))
+        if rng.random() < 0.01:
+            sim._Engine._rerank(engine)
+        i = int(rng.integers(n))
+        assert sim._route_to_min(engine, i) == scores.index(min(scores))
+        assert route(engine, i) == old_threshold_pick(scores, i, 2.0, 3.0)
+        others = scores[:i] + [math.inf] + scores[i + 1:]
+        if min(others) < math.inf:
+            assert sim._best_other(engine, i) == others.index(min(others))
+        elif n == 1:
+            assert sim._best_other(engine, i) == i
+        assert all((s, j) in engine.ranked for j, s in enumerate(scores))  # every node keeps a current entry
+
+
+def test_single_node_threshold_pick_keeps_the_job():
+    # the origin is the only node, so every pick sets it aside and finds the heap empty
+    net = make_network([1.0], [2.0])
+    cfg = lb.SimConfig(total_jobs=2000, seed=9)
+    report = lb.simulate_dynamic(net, (0.0, 0.0), cfg)
+    assert report == lb.simulate(net, dataclasses.replace(cfg, policy=lb.Policy.NO_BALANCING))
+
+
+def test_score_heap_stays_bounded():
+    net = n40_network()[0]
+    cfg = lb.SimConfig(total_jobs=20_000, seed=10, policy=lb.Policy.SQ)
+    engine = sim._Engine(net, cfg, sim._queue_state_router(net, expected_delay=False))
+    assert engine.run() == lb.simulate(net, cfg)
+    assert len(engine.ranked) <= sim._RERANK_PER_NODE * len(net)
