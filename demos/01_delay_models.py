@@ -38,7 +38,7 @@ for name, model in models.items():
 print()
 
 print("Theory wants G(x)/x non-decreasing (no fixed cost, superlinear growth).")
-print("Sampled verdicts:")
+print("Verdicts, read off G(0):")
 for name, model in models.items():
     net = lb.Network([lb.Node("probe", 0.5, lb.MM1NodeDelay(2.0))], model)
     report = lb.check_model_admissibility(net, max_rate=9.0, samples=1000)

@@ -240,25 +240,35 @@ def check_feasibility(network: Network, flow: FlowMatrix) -> FeasibilityReport:
     )
 
 
-def node_terms(service_rate, rates) -> np.ndarray:
-    """Node term beta * F(beta) elementwise; inf for a saturated node.  Returns a new array."""
-    terms = mm1_delay(service_rate, rates)
+def node_terms(service_rate, rates, out=None) -> np.ndarray:
+    """Node term beta * F(beta) elementwise; inf for a saturated node.
+
+    Writes into ``out`` when given (it must not be ``rates``), else returns a new array.
+    """
+    terms = mm1_delay(service_rate, rates, out=out)
     terms *= rates
     return terms
 
 
-def comm_term(network: Network, traffic) -> np.ndarray:
+def comm_term(network: Network, traffic, out=None) -> np.ndarray:
     """Communication term Phi * G(lambda) elementwise.
 
     Exactly 0 at zero traffic, so models with a fixed cost make the
     objective discontinuous there; inf at or beyond the interconnect's
-    saturation rate.
+    saturation rate.  Negative traffic raises.  Writes into ``out`` when
+    given (it must not be ``traffic``), else returns a new array.
     """
     lam = np.asarray(traffic, dtype=float)
-    saturated = lam >= network.comm.max_rate
-    per_transfer = network.comm.delay(np.where(saturated, 0.0, lam))
-    term = np.where(lam > 0.0, network.total_arrival_rate * per_transfer, 0.0)
-    return np.where(saturated, INFINITE, term)
+    low = lam.min(initial=INFINITE)
+    if low < 0.0:
+        raise ValueError(f"transfer rate must be >= 0, got {low}")
+    comm = network.comm
+    with np.errstate(divide="ignore", invalid="ignore"):  # saturated points are overwritten below
+        term = np.asarray(comm.unchecked_delay(lam, out=out))
+        term *= network.total_arrival_rate
+    np.copyto(term, 0.0, where=~(lam > 0.0))
+    np.copyto(term, INFINITE, where=lam >= comm.max_rate)
+    return term
 
 
 def net_transfer_roles(arrivals, net_transfers, boundary: float, idle_below: float) -> NodePartition:

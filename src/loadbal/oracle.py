@@ -18,6 +18,12 @@ grid's sums are broadcast additions of those tables.  Only the implied last
 node's term, the comm term and the last node's box are computed per grid
 point, in blocks of at most ``_BLOCK_POINTS`` points.  Every grid value is
 bit-identical to scoring its row with :func:`~loadbal.network.objective`.
+
+One search allocates one workspace, a few block-sized float and bool rows,
+and scores every block of every round into views of it with ``out=``.  A
+block's float64 array is larger than glibc's 128 KiB mmap threshold, so
+fresh arrays per block would be mapped, faulted in and unmapped thousands
+of times per search, at a cost above that of the arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from .network import Allocation, Network, comm_term, net_transfer_roles, node_terms, objective
 from .solver import OptimalSolution
 
-#: grid points scored per block; bounds every per-point temporary (256 KiB of float64),
+#: grid points scored per block; bounds each workspace row (256 KiB of float64),
 #: small enough to stay in a core's cache
 _BLOCK_POINTS = 1 << 15
 
@@ -92,9 +98,10 @@ def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 
     width = hi_box[:free] - lo_box[:free]
     lo = lo_box[:free].copy()
 
+    work = _workspace((grid,) * free)
     for round_idx in range(refine_rounds + 1):
         axes = [np.linspace(lo[a], lo[a] + width[a], grid) for a in range(free)]
-        val, d = _grid_min(network, axes, lo_box[-1])
+        val, d = _grid_min(network, axes, lo_box[-1], work)
         if val < best_val:
             best_val, best_d = val, d
         width = width * 0.5
@@ -112,7 +119,14 @@ def brute_force_optimum(network: Network, grid: int = 201, refine_rounds: int = 
     )
 
 
-def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float) -> tuple[float, np.ndarray]:
+def _workspace(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Float and bool scratch rows for every block of a grid of ``shape`` (see :func:`_blocks`)."""
+    points = min(_BLOCK_POINTS, math.prod(shape))
+    return np.empty((4, points)), np.empty((2, points), dtype=bool)
+
+
+def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float,
+              work: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[float, np.ndarray]:
     """Minimum over the cartesian grid of the free axes, first (lexicographic) occurrence wins.
 
     The last node's net transfer is implied by balance and must lie in
@@ -127,10 +141,17 @@ def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float) -> tuple
 
     The grid is walked in C-ordered blocks of at most ``_BLOCK_POINTS``
     points (see :func:`_blocks`); ``argmin`` keeps the first minimum within
-    a block and a strict ``<`` the first across blocks.
+    a block and a strict ``<`` the first across blocks.  Every per-point
+    array is a view of ``work`` (see :func:`_workspace`), which one search
+    allocates once and reuses for every block of every round: a block's
+    float64 arrays are above glibc's 128 KiB mmap threshold, so fresh ones
+    would each be mapped, faulted in page by page and unmapped again.
     """
     phi = network.arrival_rates
     mu = network.service_rates
+    shape = tuple(len(axis) for axis in axes)
+    if work is None:
+        work = _workspace(shape)
     node_tables, ship_tables = [], []
     for a, axis in enumerate(axes):
         beta = phi[a] - axis
@@ -138,28 +159,43 @@ def _grid_min(network: Network, axes: list[np.ndarray], last_lo: float) -> tuple
         terms[beta < 0.0] = np.inf
         node_tables.append(terms)
         ship_tables.append(np.maximum(axis, 0.0))
+    floats, bools = work
     best_val = np.inf
     best_d = None
-    for index in _blocks(tuple(len(axis) for axis in axes)):
-        d_last = -_block_sum(axes, index)
-        beta_last = phi[-1] - d_last
-        shipped = _block_sum(ship_tables, index) + np.maximum(d_last, 0.0)
-        vals = _block_sum(node_tables, index) + node_terms(mu[-1], beta_last)
-        vals += comm_term(network, shipped)
-        vals[(beta_last < 0.0) | (d_last < last_lo)] = np.inf
-        j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    for index in _blocks(shape):
+        block = tuple(len(axis[i]) for axis, i in zip(axes, index))
+        points = math.prod(block)
+        x, beta_last, vals, tmp = (row[:points].reshape(block) for row in floats)
+        bad, past_box = (row[:points].reshape(block) for row in bools)
+        # x = -d_last, so phi_last - d_last is phi_last + x and d_last < last_lo is x > -last_lo
+        _block_sum(axes, index, x)
+        np.add(phi[-1], x, out=beta_last)
+        np.less(beta_last, 0.0, out=bad)
+        np.greater(x, -last_lo, out=past_box)
+        bad |= past_box
+        _block_sum(node_tables, index, vals)
+        vals += node_terms(mu[-1], beta_last, out=tmp)
+        shipped, last_ship = tmp, beta_last
+        _block_sum(ship_tables, index, shipped)
+        np.negative(x, out=last_ship)
+        np.maximum(last_ship, 0.0, out=last_ship)
+        shipped += last_ship
+        vals += comm_term(network, shipped, out=last_ship)
+        np.copyto(vals, np.inf, where=bad)
+        j = np.unravel_index(int(np.argmin(vals)), block)
         if vals[j] < best_val:
             best_val = float(vals[j])
-            best_d = np.array([axis[i][k] for axis, i, k in zip(axes, index, j)] + [d_last[j]])
+            best_d = np.array([axis[i][k] for axis, i, k in zip(axes, index, j)] + [-x[j]])
     return best_val, best_d
 
 
-def _block_sum(tables: list[np.ndarray], index: tuple[slice, ...]) -> np.ndarray:
-    """Broadcast sum over one block of one entry per axis table, added left to right.
-
-    With a single axis this is a view of its table, so callers never write into it.
-    """
-    return functools.reduce(operator.add, np.ix_(*(t[i] for t, i in zip(tables, index))))
+def _block_sum(tables: list[np.ndarray], index: tuple[slice, ...], out: np.ndarray) -> None:
+    """Broadcast sum over one block of one entry per axis table, added left to right, into ``out``."""
+    *head, last = np.ix_(*(t[i] for t, i in zip(tables, index)))
+    if head:
+        np.add(functools.reduce(operator.add, head), last, out=out)
+    else:
+        np.copyto(out, last)
 
 
 def _blocks(shape: tuple[int, ...]):

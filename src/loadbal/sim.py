@@ -124,9 +124,9 @@ def _running_rate_delay(network: Network):
     """Mean interconnect delay G at the run's empirical transfer rate.
 
     The rate is (transfers + 1) / now, kept below saturation; G(0) before
-    the clock moves.
+    the clock moves.  Every rate is in range, so G skips the rate check.
     """
-    delay = network.comm.delay
+    delay = network.comm.unchecked_delay
     cap = network.comm.max_rate * (1.0 - 1e-9)  # inf for an unbounded model
 
     def transfer_delay(now: float, transfers: int) -> float:

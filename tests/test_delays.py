@@ -117,6 +117,20 @@ class TestNodeDelay:
 
 
 class TestCommDelay:
+    @pytest.mark.parametrize("model", [
+        lb.ConstantCommDelay(0.05),
+        lb.MM1ChannelCommDelay(0.1, 10.0),
+        lb.PolynomialCommDelay((0.01, 0.2, 0.05)),
+    ], ids=["constant", "mm1_channel", "polynomial"])
+    def test_float_in_float_out(self, model):
+        # the CLI and CSV writers print these with repr, which differs for np.float64
+        for rate in (0.0, 2.5):
+            assert type(model.delay(rate)) is float
+            assert type(model.unchecked_delay(rate)) is float
+        node = lb.MM1NodeDelay(2.0)
+        assert type(node.delay(1.0)) is float
+        assert type(node.delay(2.0)) is float
+
     def test_constant(self):
         model = lb.ConstantCommDelay(0.05)
         assert model.delay(0.75) == 0.05
@@ -191,6 +205,14 @@ class TestAdmissibility:
         report = lb.check_model_admissibility(net, max_rate=9.0, samples=1000)
         assert report.ratio_nondecreasing is expected
         assert report.comm_nondecreasing
+
+    @pytest.mark.parametrize("max_rate", [50.0, 200.0])
+    def test_fixed_cost_fails_at_any_range(self, max_rate):
+        # G(x)/x = 0.01/x + x is least at x = 0.1, below the first of 1,000 samples of (0, 200]
+        net = make_network([0.5], [2.0], lb.PolynomialCommDelay((0.01, 0.0, 1.0)))
+        report = lb.check_model_admissibility(net, max_rate=max_rate)
+        assert not report.ratio_nondecreasing
+        assert not report.comm_ok
 
     def test_argument_validation(self):
         net = make_network([0.5], [2.0])

@@ -137,10 +137,10 @@ def row_by_row(net, axes):
     return best_val, best_d, np.array(values)
 
 
-def assert_same_minimum(net, axes):
+def assert_same_minimum(net, axes, work=None):
     """``_grid_min`` returns exactly the reference's minimum and row; returns every row's value."""
     ref_val, ref_d, values = row_by_row(net, axes)
-    val, d = oracle._grid_min(net, axes, last_lo(net))
+    val, d = oracle._grid_min(net, axes, last_lo(net), work)
     assert val == ref_val
     assert d.tobytes() == ref_d.tobytes()
     return values
@@ -219,3 +219,72 @@ class TestGridMin:
             base = random_network(rng, 4)
             net = make_network(base.arrival_rates, base.service_rates, comm)
             assert_same_minimum(net, box_axes(net, 6))
+
+    def test_ragged_last_block(self, monkeypatch):
+        # 7 x 6 points in runs of 3 rows: the last block is one row, a third of the workspace
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 18)
+        assert [np.ones((7, 6))[b].size for b in oracle._blocks((7, 6))] == [18, 18, 6]
+        net = make_network([0.2, 0.3, 1.8], [2.0, 2.5, 2.2], COMMS["polynomial"])
+        work = poisoned_workspace((7, 6))
+        # node 2 sheds load toward the top of both axes, so the minimum lies in the last block
+        axes = [np.linspace(-1.2, -0.4, 7), np.linspace(-1.0, -0.2, 6)]
+        values = assert_same_minimum(net, axes, work).reshape(7, 6)
+        assert np.argmin(values) // 6 == 6
+
+    def test_channel_pole_inside_the_grid(self, monkeypatch):
+        # capacity 1.0 cuts through the box, so blocks hold rows on both sides of the pole
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 40)
+        base = make_network([1.6, 0.2, 0.4], [3.0, 2.0, 2.5], lb.PolynomialCommDelay((0.0, 0.03)))
+        net = make_network(base.arrival_rates, base.service_rates, lb.MM1ChannelCommDelay(0.03, 1.0))
+        axes = box_axes(net, 15)
+        assert len(list(oracle._blocks((15, 15)))) > 1
+        values = assert_same_minimum(net, axes, poisoned_workspace((15, 15)))
+        unbounded = row_by_row(base, axes)[2]
+        assert np.isinf(values).sum() > np.isinf(unbounded).sum()
+        assert np.isfinite(values).any()
+        shipped = [max(p, 0.0) + max(q, 0.0) + max(-p - q, 0.0) for p, q in itertools.product(*axes)]
+        assert np.isinf(values[np.array(shipped) >= 1.0]).all()
+
+    def test_one_workspace_across_rounds(self):
+        # shrinking windows of different sizes, as refinement rounds score them, share one workspace
+        rng = np.random.default_rng(23)
+        for comm in COMMS.values():
+            base = random_network(rng, 4)
+            net = make_network(base.arrival_rates, base.service_rates, comm)
+            work = poisoned_workspace((8, 8, 8))
+            assert_same_minimum(net, box_axes(net, 8), work)
+            _, d, _ = row_by_row(net, box_axes(net, 8))
+            mu = net.service_rates[:-1]
+            for grid, scale in [(5, 0.2), (8, 0.1), (3, 0.02), (7, 0.05)]:
+                center = d[:-1] + rng.uniform(-0.5, 0.5, 3) * scale * mu
+                window = [np.linspace(c - scale * m, c + scale * m, grid) for c, m in zip(center, mu)]
+                assert np.isfinite(assert_same_minimum(net, window, work)).any()
+
+
+def poisoned_workspace(shape):
+    """A workspace whose every entry would win a minimum if a block read it before writing it."""
+    floats, bools = oracle._workspace(shape)
+    floats.fill(-np.inf)
+    bools.fill(False)
+    return floats, bools
+
+
+class TestBlockSize:
+    """The block size bounds memory, never the answer."""
+
+    @pytest.mark.parametrize("comm", list(COMMS))
+    @pytest.mark.parametrize("n, grid, rounds", [(3, 41, 4), (4, 13, 3)])
+    def test_same_result_at_every_block_size(self, monkeypatch, n, grid, rounds, comm):
+        rng = np.random.default_rng(100 * n + list(COMMS).index(comm))
+        results = []
+        for _ in range(2):
+            base = random_network(rng, n)
+            net = make_network(base.arrival_rates, base.service_rates, COMMS[comm])
+            by_size = []
+            for points in (7, 1000, oracle._BLOCK_POINTS):
+                monkeypatch.setattr(oracle, "_BLOCK_POINTS", points)
+                by_size.append(repr(lb.brute_force_optimum(net, grid=grid, refine_rounds=rounds)))
+            assert by_size[0] == by_size[1] == by_size[2]
+            results.append(by_size[0])
+        assert results[0] != results[1]
+
