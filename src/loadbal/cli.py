@@ -9,8 +9,12 @@ Commands::
     loadbal sweep    CONFIG --param PATH --from A --to B --steps K [--out FILE]
 
 Each command reads its config file once.  ``sweep`` solves its points one after
-another, each writing its value into that one config; it parses the node list
-once, and again at every point only when ``--param`` is under ``nodes``.
+another, each writing its value into that one config.  Unless ``--param`` is
+under ``nodes``, it parses the node list once and every point shares that
+network's node state (``Network.with_comm``): the node arrays are built once,
+and a point whose comm price equals the last one's, as every point on constant
+comm does, reuses that inner price search.  A ``--param`` under ``nodes``
+re-parses the whole config at every point.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 non-convergence.
 ``LOADBAL_LOG={error|info|debug}`` controls diagnostics on standard error.
@@ -225,10 +229,10 @@ def _config_key(target, part: str, path: str):
     raise ConfigError(f"param path {path!r}: no such field {part!r}")
 
 
-def _sweep_row(data: dict, value: float, nodes: tuple | None) -> list:
-    """Solve ``data``, which holds the point ``value``; ``nodes`` are its parsed nodes, or None to parse them."""
+def _sweep_row(data: dict, value: float, base: Network | None) -> list:
+    """Solve ``data``, which holds the point ``value``, on the nodes of ``base``, or parsed afresh for None."""
     try:
-        scenario = parse_config(data) if nodes is None else parse_sections(data, nodes)
+        scenario = parse_config(data) if base is None else parse_sections(data, base)
         solution = solve(scenario.network, scenario.solver)
     except ConfigError as exc:
         # the parse wraps the network's UnstableNetworkError in a ConfigError
@@ -249,12 +253,12 @@ def cmd_sweep(args) -> int:
     values = [args.start + (args.stop - args.start) * k / (args.steps - 1) for k in range(args.steps)]
     target, key = _config_leaf(data, args.param)  # a bad --param exits 2 before anything is solved
     integral = isinstance(target[key], int)  # e.g. sim.seed: each whole value is written as an int
-    # a point that leaves the node list alone reuses the nodes parsed above
-    nodes = None if args.param.split(".")[0] == "nodes" else scenario.network.nodes
+    # a point that leaves the node list alone shares the node state of the network parsed above
+    base = None if args.param.split(".")[0] == "nodes" else scenario.network
     rows = []
     for value in values:
         target[key] = int(value) if integral and value.is_integer() else value
-        rows.append(_sweep_row(data, value, nodes))
+        rows.append(_sweep_row(data, value, base))
     _emit_csv([["param_value", "alpha", "lambda", "mean_response", "roles"], *rows], args.out)
     return EXIT_OK
 

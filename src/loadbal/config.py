@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .delays import (
@@ -135,14 +136,24 @@ def parse_config(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
     _known_fields(data, ("nodes", "comm", "solver", "sim"), "config")
-    return parse_sections(data, _nodes_from_config(_require(data, "nodes", "config")))
+    return _parse_on(data, partial(Network, _nodes_from_config(_require(data, "nodes", "config"))))
 
 
-def parse_sections(data: dict, nodes: tuple[Node, ...]) -> Scenario:
-    """The scenario of config ``data`` on its already parsed (frozen, so shareable) ``nodes``."""
+def parse_sections(data: dict, base: Network) -> Scenario:
+    """The scenario of config ``data`` on the nodes of the already parsed network ``base``.
+
+    Only ``comm``, ``solver`` and ``sim`` are read from ``data``; the
+    network is ``base.with_comm``, so it shares the node tuple, the node
+    arrays and the last inner price search with ``base``.
+    """
+    return _parse_on(data, base.with_comm)
+
+
+def _parse_on(data: dict, network_on) -> Scenario:
+    """The scenario of ``data`` whose network is ``network_on(comm)`` for the parsed ``comm``."""
     comm = _comm_from_config(_require(data, "comm", "config"), "comm")
     try:
-        network = Network(nodes, comm)
+        network = network_on(comm)
     except ValueError as exc:
         raise ConfigError(f"network: {exc}") from exc
 

@@ -45,8 +45,9 @@ def mm1_delay(service_rate, beta, out=None) -> np.ndarray:
     """
     out = np.asarray(np.subtract(service_rate, beta, out=out, dtype=float))
     saturated = out <= 0.0
-    np.divide(1.0, out, out=out, where=~saturated)
-    out[saturated] = INFINITE
+    with np.errstate(divide="ignore"):  # saturated points are overwritten below
+        np.divide(1.0, out, out=out)
+    np.copyto(out, INFINITE, where=saturated)
     return out
 
 

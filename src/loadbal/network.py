@@ -39,6 +39,36 @@ class Node:
             raise ValueError(f"node {self.id!r}: arrival_rate must be >= 0, got {self.arrival_rate}")
 
 
+class _NodeState:
+    """What a network derives from its nodes alone, shared by every :meth:`Network.with_comm` copy.
+
+    ``last_search`` is the last inner price search run on these nodes,
+    ``(comm_price, alpha)``: the solver's alpha depends on the nodes and
+    the price only, so every network on these nodes can reuse it.
+    """
+
+    def __init__(self, nodes: tuple[Node, ...]):
+        if not nodes:
+            raise ValueError("a network needs at least one node")
+        ids = [n.id for n in nodes]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"duplicate node ids: {ids}")
+        self.nodes = nodes
+        self.arrival = np.array([n.arrival_rate for n in nodes], dtype=float)
+        self.service = np.array([n.delay.service_rate for n in nodes], dtype=float)
+        self.marginal_at_arrivals = mm1_marginal_delay(self.service, self.arrival)
+        self.marginal_at_zero = mm1_marginal_delay(self.service, 0.0)
+        for array in (self.arrival, self.service, self.marginal_at_arrivals, self.marginal_at_zero):
+            array.setflags(write=False)
+        self.total_arrival = float(self.arrival.sum())
+        if self.total_arrival >= self.service.sum():
+            raise UnstableNetworkError(
+                f"unstable network: total arrival rate {self.total_arrival} "
+                f">= total capacity {self.service.sum()}"
+            )
+        self.last_search: tuple[float, float] | None = None
+
+
 class Network:
     """An ordered set of nodes sharing one interconnect delay model.
 
@@ -46,44 +76,49 @@ class Network:
     service capacity; no allocation could stabilize those.  The price search
     reads ``marginal_at_arrivals`` f_i(phi_i) (inf at saturation) and
     ``marginal_at_zero`` f_i(0) on every probe, so they are fixed here.
+    None of that depends on the interconnect, so :meth:`with_comm` moves a
+    network to another interconnect without rebuilding it: the copies share
+    the node tuple, the read-only arrays, the totals, the stability verdict
+    and the last inner price search.
     """
 
     def __init__(self, nodes, comm: CommDelayModel):
-        nodes = tuple(nodes)
-        if not nodes:
-            raise ValueError("a network needs at least one node")
-        ids = [n.id for n in nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate node ids: {ids}")
-        self.nodes = nodes
+        self._node_state = _NodeState(tuple(nodes))
         self.comm = comm
-        self._arrival = np.array([n.arrival_rate for n in nodes], dtype=float)
-        self._service = np.array([n.delay.service_rate for n in nodes], dtype=float)
-        self.marginal_at_arrivals = mm1_marginal_delay(self._service, self._arrival)
-        self.marginal_at_zero = mm1_marginal_delay(self._service, 0.0)
-        for array in (self._arrival, self._service, self.marginal_at_arrivals, self.marginal_at_zero):
-            array.setflags(write=False)
-        self._total_arrival = float(self._arrival.sum())
-        if self.total_arrival_rate >= self._service.sum():
-            raise UnstableNetworkError(
-                f"unstable network: total arrival rate {self.total_arrival_rate} "
-                f">= total capacity {self._service.sum()}"
-            )
+
+    def with_comm(self, comm: CommDelayModel) -> "Network":
+        """This network's nodes on interconnect ``comm``, sharing all of their state with this network."""
+        twin = object.__new__(Network)
+        twin._node_state = self._node_state
+        twin.comm = comm
+        return twin
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self._node_state.nodes)
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        return self._node_state.nodes
 
     @property
     def arrival_rates(self) -> np.ndarray:
-        return self._arrival
+        return self._node_state.arrival
 
     @property
     def service_rates(self) -> np.ndarray:
-        return self._service
+        return self._node_state.service
+
+    @property
+    def marginal_at_arrivals(self) -> np.ndarray:
+        return self._node_state.marginal_at_arrivals
+
+    @property
+    def marginal_at_zero(self) -> np.ndarray:
+        return self._node_state.marginal_at_zero
 
     @property
     def total_arrival_rate(self) -> float:
-        return self._total_arrival
+        return self._node_state.total_arrival
 
 
 class FlowMatrix:
@@ -159,23 +194,47 @@ class NodeRole(Enum):
     RELAY = "relay"  # diagnostic only; never part of an optimal assignment
 
 
-_COMPACT = {
-    NodeRole.IDLE_SOURCE: "I",
-    NodeRole.ACTIVE_SOURCE: "A",
-    NodeRole.NEUTRAL: "N",
-    NodeRole.SINK: "S",
-    NodeRole.RELAY: "R",
-}
+#: NodePartition codes: the role of code k is ``_BY_CODE[k]`` and its letter ``_LETTERS[k]``
+_BY_CODE = np.array([NodeRole.SINK, NodeRole.NEUTRAL, NodeRole.IDLE_SOURCE, NodeRole.ACTIVE_SOURCE,
+                     NodeRole.RELAY])
+SINK_CODE, NEUTRAL_CODE, IDLE_CODE, ACTIVE_CODE, RELAY_CODE = range(len(_BY_CODE))
+_CODE_OF = {role: code for code, role in enumerate(_BY_CODE)}
+_LETTERS = np.frombuffer(b"SNIAR", dtype=np.uint8)
 
 
 @dataclass(frozen=True)
 class NodePartition:
-    """Role of every node, with index views per role."""
+    """Role of every node, with index views per role.
+
+    ``codes`` holds the same roles as a read-only int8 array (``SINK_CODE``,
+    ``NEUTRAL_CODE``, ``IDLE_CODE``, ``ACTIVE_CODE``, ``RELAY_CODE``) for
+    array code to compare against.  It is derived from ``roles``, or given
+    by :meth:`from_codes`, and is not a field: ``==``, ``hash``, ``repr``,
+    ``asdict`` and ``replace`` see ``roles`` alone.
+    """
 
     roles: tuple[NodeRole, ...]
 
+    def __post_init__(self) -> None:
+        codes = np.array([_CODE_OF[r] for r in self.roles], dtype=np.int8)
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_codes(cls, codes) -> "NodePartition":
+        """The partition whose role codes are ``codes``, without a pass over role members."""
+        codes = np.array(codes, dtype=np.int8)
+        codes.setflags(write=False)
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "roles", tuple(_BY_CODE[codes]))
+        object.__setattr__(partition, "codes", codes)
+        return partition
+
+    def _where(self, mask: np.ndarray) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(mask).tolist())
+
     def indices(self, role: NodeRole) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles) if r is role)
+        return self._where(self.codes == _CODE_OF[role])
 
     @property
     def sinks(self) -> tuple[int, ...]:
@@ -183,8 +242,7 @@ class NodePartition:
 
     @property
     def sources(self) -> tuple[int, ...]:
-        return tuple(i for i, r in enumerate(self.roles)
-                     if r is NodeRole.IDLE_SOURCE or r is NodeRole.ACTIVE_SOURCE)
+        return self._where((self.codes == IDLE_CODE) | (self.codes == ACTIVE_CODE))
 
     @property
     def relays(self) -> tuple[int, ...]:
@@ -192,7 +250,7 @@ class NodePartition:
 
     def compact(self) -> str:
         """Single-letter role string in node order, e.g. ``"A,S,N"``."""
-        return ",".join([_COMPACT[r] for r in self.roles])
+        return ",".join(_LETTERS[self.codes].tobytes().decode())
 
 
 @dataclass(frozen=True)
@@ -280,15 +338,9 @@ def net_transfer_roles(arrivals, net_transfers, boundary: float, idle_below: flo
     """
     d = np.asarray(net_transfers, dtype=float)
     beta = arrivals - d
-    roles = []
-    for i in range(len(d)):
-        if d[i] > boundary:
-            roles.append(NodeRole.IDLE_SOURCE if beta[i] <= idle_below else NodeRole.ACTIVE_SOURCE)
-        elif d[i] < -boundary:
-            roles.append(NodeRole.SINK)
-        else:
-            roles.append(NodeRole.NEUTRAL)
-    return NodePartition(roles=tuple(roles))
+    source = np.where(beta <= idle_below, IDLE_CODE, ACTIVE_CODE)
+    rest = np.where(d < -boundary, SINK_CODE, NEUTRAL_CODE)
+    return NodePartition.from_codes(np.where(d > boundary, source, rest))
 
 
 def objective(network: Network, rates, traffic):
@@ -353,10 +405,8 @@ def classify_roles(network: Network, flow: FlowMatrix) -> NodePartition:
     inflow = flow.inflow()
     outflow = flow.outflow()
     atol = 1e-12 * max(network.total_arrival_rate, 1.0)
-    roles = list(net_transfer_roles(network.arrival_rates, outflow - inflow, 0.0, atol).roles)
-    for i in np.flatnonzero((inflow > 0) & (outflow > 0)):
-        roles[i] = NodeRole.RELAY
-    return NodePartition(roles=tuple(roles))
+    codes = net_transfer_roles(network.arrival_rates, outflow - inflow, 0.0, atol).codes
+    return NodePartition.from_codes(np.where((inflow > 0) & (outflow > 0), RELAY_CODE, codes))
 
 
 def relay_count(flow: FlowMatrix) -> int:

@@ -42,10 +42,13 @@ import numpy as np
 
 from .delays import mm1_inverse_marginal_delay, mm1_marginal_delay
 from .network import (
+    ACTIVE_CODE,
+    IDLE_CODE,
+    NEUTRAL_CODE,
+    SINK_CODE,
     Allocation,
     Network,
     NodePartition,
-    NodeRole,
     aggregate_objective,
 )
 
@@ -106,10 +109,6 @@ class ConvergenceError(RuntimeError):
         self.best = best
 
 
-#: the role of each code that :func:`partition_for_prices` assigns
-_ROLES = np.array([NodeRole.SINK, NodeRole.NEUTRAL, NodeRole.IDLE_SOURCE, NodeRole.ACTIVE_SOURCE])
-
-
 def _price_pass(network: Network, alpha: float, comm_price: float):
     """Masks of sinks, of nodes in the price band and of priced-out nodes, and every rate.
 
@@ -139,8 +138,9 @@ def partition_for_prices(network: Network, alpha: float, comm_price: float) -> t
     load, bounded below by ``alpha`` only.
     """
     sink, band, priced_out, beta = _price_pass(network, alpha, comm_price)
-    codes = np.where(sink, 0, np.where(band | (network.arrival_rates == 0.0), 1, np.where(priced_out, 2, 3)))
-    return NodePartition(roles=tuple(_ROLES[codes])), beta
+    kept = band | (network.arrival_rates == 0.0)
+    codes = np.where(sink, SINK_CODE, np.where(kept, NEUTRAL_CODE, np.where(priced_out, IDLE_CODE, ACTIVE_CODE)))
+    return NodePartition.from_codes(codes), beta
 
 
 def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
@@ -156,6 +156,23 @@ def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
 
 def _find_alpha(network: Network, comm_price: float) -> float:
     """Exact breakpoint search for the common price: inf{alpha : flow_residual > 0}.
+
+    The answer depends on the nodes and ``comm_price`` only, so the last one
+    is kept with the network's node state and returned when the same price
+    is asked again, by this network or by a :meth:`Network.with_comm` copy;
+    a search that raises keeps nothing.  See :func:`_search_alpha`.
+    """
+    state = network._node_state
+    last = state.last_search
+    if last is not None and last[0] == comm_price:  # -0.0 and 0.0 give the same alpha bits
+        return last[1]
+    alpha = _search_alpha(network, comm_price)
+    state.last_search = (comm_price, alpha)
+    return alpha
+
+
+def _search_alpha(network: Network, comm_price: float) -> float:
+    """The breakpoint search behind :func:`_find_alpha`.
 
     With the surcharge c fixed, node i changes role at three prices: from
     idle to active source at 1/mu_i - c, from active source to the neutral
@@ -254,10 +271,10 @@ def _check_price_resolution(network: Network, solution: OptimalSolution) -> None
     Rounding beta moves the price mu / (mu - beta)^2 by up to eps * mu / (mu - beta) relative,
     and 1e-8 is what :func:`verify_optimality` certifies by default.
     """
-    roles = np.array(solution.partition.roles)
+    codes = solution.partition.codes
     mu = network.service_rates
     headroom = mu - np.asarray(solution.allocation.rates)
-    priced = (roles == NodeRole.SINK) | (roles == NodeRole.ACTIVE_SOURCE)
+    priced = (codes == SINK_CODE) | (codes == ACTIVE_CODE)
     blurred = np.flatnonzero(priced & (np.finfo(float).eps * mu > 1e-8 * headroom))
     if blurred.size:
         i = blurred[0]
@@ -269,10 +286,10 @@ def _check_price_resolution(network: Network, solution: OptimalSolution) -> None
 
 def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarray) -> tuple[float, float]:
     """Sink surplus, sum of beta - phi over sinks, and source deficit, sum of phi - beta over sources."""
-    roles = np.array(partition.roles)
+    codes = partition.codes
     phi = network.arrival_rates
-    sources = (roles == NodeRole.IDLE_SOURCE) | (roles == NodeRole.ACTIVE_SOURCE)
-    return float((beta - phi)[roles == NodeRole.SINK].sum()), float((phi - beta)[sources].sum())
+    sources = (codes == IDLE_CODE) | (codes == ACTIVE_CODE)
+    return float((beta - phi)[codes == SINK_CODE].sum()), float((phi - beta)[sources].sum())
 
 
 def _no_transfer_solution(network: Network, iterations: int,
@@ -293,7 +310,7 @@ def _no_transfer_solution(network: Network, iterations: int,
     allocation = Allocation(rates=tuple(phi.tolist()), transfer_rate=0.0)
     return OptimalSolution(
         allocation=allocation,
-        partition=NodePartition(roles=(NodeRole.NEUTRAL,) * len(network)),
+        partition=NodePartition.from_codes(np.full(len(network), NEUTRAL_CODE)),
         alpha=alpha,
         comm_price=comm_price,
         objective=aggregate_objective(network, allocation),
@@ -506,11 +523,11 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     scale = max(phi_total, 1.0)
 
     phi = network.arrival_rates
-    roles = np.array(solution.partition.roles)
-    sink = roles == NodeRole.SINK
-    active = roles == NodeRole.ACTIVE_SOURCE
-    neutral = roles == NodeRole.NEUTRAL
-    idle = roles == NodeRole.IDLE_SOURCE
+    codes = solution.partition.codes
+    sink = codes == SINK_CODE
+    active = codes == ACTIVE_CODE
+    neutral = codes == NEUTRAL_CODE
+    idle = codes == IDLE_CODE
     f_beta = mm1_marginal_delay(network.service_rates, beta)
     alpha_scale = max(alpha, 1e-300)
     high_scale = max(high, 1e-300)

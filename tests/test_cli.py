@@ -6,6 +6,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import loadbal as lb
@@ -399,6 +400,37 @@ class TestSweepPoints:
         assert rows == [reference_row(FULL_CONFIG, param, float(row[0])) for row in rows]
         assert labels <= {row[4] for row in rows}
         assert any(row[1] != "nan" for row in rows)
+
+    @pytest.mark.parametrize("model, param, start, stop", [
+        ("constant", "comm.params.t", 0.0, 1.5),            # one price for every point: its search is kept
+        ("mm1_channel", "comm.params.capacity", 0.0, 2.0),  # new prices at every point
+        ("constant", "nodes.0.arrival_rate", 0.0, 1.2),     # fresh node state at every point
+    ])
+    def test_heterogeneous_rows_match_a_fresh_parse(self, tmp_path, capsys, model, param, start, stop):
+        # n=60, services over 3.5 decades, some nodes idle or nearly saturated; the ranges are
+        # scaled to the instance, so the constant sweep crosses the no-transfer crossover
+        rng = np.random.default_rng(60)
+        mu = 10.0 ** rng.uniform(-1.5, 2.0, 60)
+        rho = rng.uniform(0.05, 0.9, 60)
+        rho[:6] = 0.0
+        rho[6:10] = rng.uniform(0.95, 0.995, 4)
+        phi = rho * mu
+        no_transfer_mean = float((phi / (mu - phi)).sum() / phi.sum())
+        params = {"t": 0.3 * no_transfer_mean, "capacity": float(phi.sum())}
+        scale = {"t": no_transfer_mean, "capacity": float(phi.sum()), "arrival_rate": float(mu.sum() - phi.sum())}
+        data = {
+            "nodes": [{"id": f"n{i}", "arrival_rate": float(a), "service_rate": float(s)}
+                      for i, (a, s) in enumerate(zip(phi, mu))],
+            "comm": {"model": model, "params": params if model == "mm1_channel" else {"t": params["t"]}},
+        }
+        leaf = param.rsplit(".", 1)[1]
+        config = write_config(tmp_path / "hetero.json", data)
+        assert main(["sweep", config, "--param", param, "--from", repr(start * scale[leaf]),
+                     "--to", repr(stop * scale[leaf]), "--steps", "9"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+        assert rows == [reference_row(data, param, float(row[0])) for row in rows]
+        assert len({row[1] for row in rows}) > 1
+        assert len({row[4] for row in rows}) > 1
 
     @pytest.mark.parametrize("param", ["solver.max_outer", "sim.seed", "sim.total_jobs"])
     def test_integer_field_gets_whole_values(self, tmp_path, capsys, param):

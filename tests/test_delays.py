@@ -115,6 +115,31 @@ class TestNodeDelay:
         model = lb.MM1NodeDelay(3.0)
         assert [getattr(model, method)(float(x)) for x in grid] == expected
 
+    def test_delay_matches_masked_divide(self):
+        # the masked form: divide only the unsaturated points, then store inf at the rest
+        def masked(service_rate, beta, out=None):
+            out = np.asarray(np.subtract(service_rate, beta, out=out, dtype=float))
+            saturated = out <= 0.0
+            np.divide(1.0, out, out=out, where=~saturated)
+            out[saturated] = lb.INFINITE
+            return out
+
+        rng = np.random.default_rng(19)
+        mu = rng.uniform(0.5, 10.0, 4000)
+        beta = mu * rng.uniform(0.0, 1.5, mu.size)  # about a third past saturation
+        beta[::7] = mu[::7]                         # exactly saturated
+        beta[::11] = np.nextafter(mu[::11], 0.0)    # one ulp short
+        beta[::13] = np.nan
+        beta[::17] = 0.0
+        cases = [(mu, beta), (mu[:50], beta[:50]), (mu, np.minimum(beta, 0.5 * mu)), (mu, mu + 1.0),
+                 (3.0, 3.0), (3.0, 5.0), (3.0, 1.0), (3.0, np.nan)]
+        for service_rate, rates in cases:
+            expected = masked(service_rate, rates)
+            assert mm1_delay(service_rate, rates).tobytes() == expected.tobytes()
+            into = np.empty(np.shape(rates))
+            assert mm1_delay(service_rate, rates, out=into) is into
+            assert into.tobytes() == expected.tobytes()
+
 
 class TestCommDelay:
     @pytest.mark.parametrize("model", [

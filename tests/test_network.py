@@ -1,10 +1,12 @@
 """Instances, flows, objectives, feasibility and role classification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import loadbal as lb
-from loadbal.network import objective
+from loadbal.network import ACTIVE_CODE, IDLE_CODE, NEUTRAL_CODE, RELAY_CODE, SINK_CODE, net_transfer_roles, objective
 
 from conftest import headroom_network, make_network, random_feasible_flow
 
@@ -26,6 +28,17 @@ class TestConstruction:
     def test_total_arrival_cached(self):
         net = make_network([1.0, 0.5], [2.0, 2.0])
         assert net.total_arrival_rate == 1.5
+
+    def test_with_comm_shares_node_state(self):
+        net = make_network([1.0, 0.5, 0.0], [2.0, 2.0, 3.0])
+        comm = lb.MM1ChannelCommDelay(0.1, 4.0)
+        twin = net.with_comm(comm)
+        assert twin.comm is comm and net.comm == lb.ConstantCommDelay(0.05)
+        assert twin.nodes is net.nodes and len(twin) == len(net)
+        for name in ("arrival_rates", "service_rates", "marginal_at_arrivals", "marginal_at_zero"):
+            assert getattr(twin, name) is getattr(net, name)
+            assert not getattr(twin, name).flags.writeable
+        assert twin.total_arrival_rate == net.total_arrival_rate
 
     def test_flow_matrix_validation(self):
         with pytest.raises(ValueError):
@@ -229,3 +242,68 @@ class TestRoles:
         chain4 = np.zeros((4, 4))
         chain4[0, 1] = chain4[1, 2] = chain4[2, 3] = 0.2
         assert lb.relay_count(lb.FlowMatrix(chain4)) == 2
+
+
+#: the code of each role, as NodePartition.codes holds it
+CODE_OF = {lb.NodeRole.SINK: SINK_CODE, lb.NodeRole.NEUTRAL: NEUTRAL_CODE, lb.NodeRole.IDLE_SOURCE: IDLE_CODE,
+           lb.NodeRole.ACTIVE_SOURCE: ACTIVE_CODE, lb.NodeRole.RELAY: RELAY_CODE}
+LETTER_OF = {lb.NodeRole.SINK: "S", lb.NodeRole.NEUTRAL: "N", lb.NodeRole.IDLE_SOURCE: "I",
+             lb.NodeRole.ACTIVE_SOURCE: "A", lb.NodeRole.RELAY: "R"}
+
+
+def assert_codes_agree(partition):
+    """``codes`` is a read-only int8 view of ``roles``, invisible to ==, hash, repr and asdict."""
+    assert partition.codes.dtype == np.int8 and not partition.codes.flags.writeable
+    assert partition.codes.tolist() == [CODE_OF[r] for r in partition.roles]
+    by_roles = lb.NodePartition(roles=partition.roles)
+    assert partition == by_roles and hash(partition) == hash(by_roles)
+    assert repr(partition) == f"NodePartition(roles={partition.roles!r})"
+    assert dataclasses.asdict(partition) == {"roles": partition.roles}
+    assert partition.compact() == ",".join(LETTER_OF[r] for r in partition.roles)
+    assert partition.sinks == tuple(i for i, r in enumerate(partition.roles) if r is lb.NodeRole.SINK)
+    assert partition.sources == tuple(i for i, r in enumerate(partition.roles)
+                                      if r in (lb.NodeRole.IDLE_SOURCE, lb.NodeRole.ACTIVE_SOURCE))
+    assert all(type(i) is int for i in partition.sinks + partition.sources)
+
+
+class TestPartitionCodes:
+    def test_hand_built(self):
+        roles = tuple(lb.NodeRole)
+        partition = lb.NodePartition(roles=roles + roles[::-1])
+        assert_codes_agree(partition)
+        assert partition.compact() == "I,A,N,S,R,R,S,N,A,I"
+        assert_codes_agree(lb.NodePartition.from_codes(partition.codes))
+        assert lb.NodePartition.from_codes(partition.codes) == partition
+        assert_codes_agree(dataclasses.replace(partition, roles=roles))
+
+    def test_solver_answers(self):
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(60):
+            net = headroom_network(rng, int(rng.integers(2, 7)))
+            solution = lb.solve(net)
+            assert_codes_agree(solution.partition)
+            seen.update(solution.partition.roles)
+        assert seen == {lb.NodeRole.SINK, lb.NodeRole.NEUTRAL, lb.NodeRole.IDLE_SOURCE, lb.NodeRole.ACTIVE_SOURCE}
+
+    def test_no_transfer_answer(self, symmetric_pair):
+        solution = lb.solve(symmetric_pair)
+        assert solution.partition.roles == (lb.NodeRole.NEUTRAL,) * 2
+        assert_codes_agree(solution.partition)
+        expensive = lb.solve(make_network([1.5, 0.0], [4.0, 4.0], lb.ConstantCommDelay(5.0)))
+        assert expensive.no_transfer_override
+        assert_codes_agree(expensive.partition)
+
+    def test_net_transfer_roles(self):
+        d = np.array([0.5, 0.2, -0.7, 0.0, 1e-13, np.nan])
+        partition = net_transfer_roles(np.array([0.5, 1.0, 0.0, 0.3, 0.2, 1.0]), d, 1e-12, 1e-12)
+        assert partition.roles == (lb.NodeRole.IDLE_SOURCE, lb.NodeRole.ACTIVE_SOURCE, lb.NodeRole.SINK,
+                                   lb.NodeRole.NEUTRAL, lb.NodeRole.NEUTRAL, lb.NodeRole.NEUTRAL)
+        assert_codes_agree(partition)
+
+    def test_classify_roles_with_relay(self):
+        net = make_network([1.0, 0.5, 0.0], [4.0, 4.0, 4.0])
+        partition = lb.classify_roles(net, lb.FlowMatrix([[0.0, 0.3, 0.0], [0.0, 0.0, 0.2], [0.0, 0.0, 0.0]]))
+        assert partition.roles == (lb.NodeRole.ACTIVE_SOURCE, lb.NodeRole.RELAY, lb.NodeRole.SINK)
+        assert partition.relays == (1,)
+        assert_codes_agree(partition)

@@ -375,6 +375,55 @@ class TestFindAlpha:
                 continue
             assert lb.verify_optimality(net, solution).passed(), (mu, phi, comm)
 
+    def test_with_comm_solves_like_a_fresh_network(self):
+        # a copy sharing node state (and its last price search) answers bit for bit as a fresh build,
+        # whichever network and comm model searched before it
+        rng = np.random.default_rng(43)
+
+        def outcome(net):
+            try:
+                solution = lb.solve(net)
+            except lb.ConvergenceError as exc:
+                return f"ConvergenceError({exc}, {exc.best!r})"
+            return repr(solution) + repr(lb.verify_optimality(net, solution))
+
+        raised = 0
+        for _ in range(60):
+            base = wide_network(rng)
+            comms = [wide_network(rng).comm, base.comm, lb.ConstantCommDelay(0.0), base.comm]
+            for comm in comms:
+                expected = outcome(lb.Network(base.nodes, comm))
+                assert outcome(base.with_comm(comm)) == expected
+                raised += expected.startswith("ConvergenceError")
+        assert raised > 0
+
+    def test_with_comm_reuses_the_last_search(self, monkeypatch):
+        prices = []
+        search = lb.solver._search_alpha
+
+        def counted(net, comm_price):
+            prices.append(comm_price)
+            return search(net, comm_price)
+
+        monkeypatch.setattr(lb.solver, "_search_alpha", counted)
+        net = make_network([1.5, 0.2, 0.0], [4.0, 2.0, 3.0], lb.ConstantCommDelay(0.05))
+        first = lb.solve(net)
+        second = lb.solve(net.with_comm(lb.ConstantCommDelay(0.5)))
+        assert prices == [0.0]  # constant comm prices every probe at 0
+        assert second.alpha == first.alpha or second.no_transfer_override
+        lb.solve(net.with_comm(lb.MM1ChannelCommDelay(0.05, 4.0)))
+        assert len(prices) > 1 and 0.0 not in prices[1:]  # new prices, new searches
+        lb.solve(net)
+        assert prices[-1] == 0.0  # only the last search is kept
+
+    def test_raising_search_raises_again(self):
+        # nothing is kept from a search that raised, so asking that price again searches again
+        net = make_network([0.10292525252525252, 0.9810747474747474], [0.255, 0.829], lb.ConstantCommDelay(0.0))
+        for network in (net, net, net.with_comm(lb.ConstantCommDelay(0.1))):
+            with pytest.raises(lb.ConvergenceError, match="no finite alpha balances the load"):
+                lb.solver._find_alpha(network, 0.0)
+
+
 class TestTrafficSearch:
     def test_few_probes_at_n200(self):
         rng = np.random.default_rng(41)
