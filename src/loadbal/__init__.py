@@ -26,6 +26,7 @@ from .network import (
     InfeasibleFlowError,
     Network,
     Node,
+    NodeColumns,
     NodePartition,
     NodeRole,
     UnstableNetworkError,
@@ -70,6 +71,7 @@ __all__ = [
     "MM1NodeDelay",
     "Network",
     "Node",
+    "NodeColumns",
     "NodePartition",
     "NodeRole",
     "OptimalSolution",

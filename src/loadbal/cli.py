@@ -11,10 +11,12 @@ Commands::
 Each command reads its config file once.  ``sweep`` solves its points one after
 another, each writing its value into that one config.  Unless ``--param`` is
 under ``nodes``, it parses the node list once and every point shares that
-network's node state (``Network.with_comm``): the node arrays are built once,
-and a point whose comm price equals the last one's, as every point on constant
-comm does, reuses that inner price search.  A ``--param`` under ``nodes``
-re-parses the whole config at every point.
+network's node state (``Network.with_comm``), so a point recomputes only what
+its comm model changes: the node arrays and the no-transfer candidate's node
+part are built once, and a point whose comm price equals the last one's, as
+every point on constant comm does, reuses that inner price search and what
+its probe priced (roles, rates, node-term sum, transfer totals).  A
+``--param`` under ``nodes`` re-parses the whole config at every point.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 non-convergence.
 ``LOADBAL_LOG={error|info|debug}`` controls diagnostics on standard error.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from pathlib import Path
@@ -31,7 +32,7 @@ from .delays import (
     MM1NodeDelay,
     PolynomialCommDelay,
 )
-from .network import Network, Node
+from .network import Network, Node, NodeColumns
 from .sim import Policy, SimConfig
 from .solver import SolverConfig
 
@@ -112,24 +113,54 @@ def _comm_from_config(data, path: str) -> CommDelayModel:
     raise ConfigError(f"{path}.model: unknown model {model!r} (expected constant, mm1_channel or polynomial)")
 
 
-def _nodes_from_config(data) -> tuple[Node, ...]:
+#: rate types read without a check of their own; a bool is neither
+_PLAIN = (int, float)
+#: the largest rate that converts to a finite float
+_LARGEST = sys.float_info.max
+
+
+def _nodes_from_config(data) -> NodeColumns:
+    """The ``nodes`` list read into columns in one pass.
+
+    A node of plain values (a dict with a ``str`` id and ``int`` or
+    ``float`` rates in range) is read as it is; any other node goes through
+    :func:`_checked_node`, which formats the ``nodes[k]`` error paths and
+    raises on the first node the config's rules refuse.
+    """
     if not isinstance(data, list) or not data:
         raise ConfigError("nodes: expected a non-empty list")
-    nodes = []
-    for k, nd in enumerate(data):
-        path = f"nodes[{k}]"
-        if not isinstance(nd, dict):
-            raise ConfigError(f"{path}: expected an object")
-        node_id = _require(nd, "id", path)
-        if not isinstance(node_id, str):
-            raise ConfigError(f"{path}.id: expected a string")
-        arrival = _required_number(nd, "arrival_rate", path)
-        service = _required_number(nd, "service_rate", path)
-        try:
-            nodes.append(Node(id=node_id, arrival_rate=arrival, delay=MM1NodeDelay(service_rate=service)))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return tuple(nodes)
+    ids, arrivals, services = [], [], []
+    for nd in data:
+        if type(nd) is dict:
+            node_id, arrival, service = nd.get("id"), nd.get("arrival_rate"), nd.get("service_rate")
+            if (type(node_id) is str and type(arrival) in _PLAIN and type(service) in _PLAIN
+                    and 0 <= arrival <= _LARGEST and 0 < service <= _LARGEST):
+                ids.append(node_id)
+                arrivals.append(arrival)
+                services.append(service)
+                continue
+        node_id, arrival, service = _checked_node(len(ids), nd)
+        ids.append(node_id)
+        arrivals.append(arrival)
+        services.append(service)
+    return NodeColumns(tuple(ids), arrivals, services)
+
+
+def _checked_node(k: int, nd) -> tuple[str, float, float]:
+    """Id, arrival rate and service rate of node ``k``, or the ``ConfigError`` naming its field."""
+    path = f"nodes[{k}]"
+    if not isinstance(nd, dict):
+        raise ConfigError(f"{path}: expected an object")
+    node_id = _require(nd, "id", path)
+    if not isinstance(node_id, str):
+        raise ConfigError(f"{path}.id: expected a string")
+    arrival = _required_number(nd, "arrival_rate", path)
+    service = _required_number(nd, "service_rate", path)
+    try:
+        Node(id=node_id, arrival_rate=arrival, delay=MM1NodeDelay(service_rate=service))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return node_id, arrival, service
 
 
 def parse_config(data: dict) -> Scenario:
@@ -143,8 +174,8 @@ def parse_sections(data: dict, base: Network) -> Scenario:
     """The scenario of config ``data`` on the nodes of the already parsed network ``base``.
 
     Only ``comm``, ``solver`` and ``sim`` are read from ``data``; the
-    network is ``base.with_comm``, so it shares the node tuple, the node
-    arrays and the last inner price search with ``base``.
+    network is ``base.with_comm``, so it shares ``base``'s node state and
+    what the solver keeps there.
     """
     return _parse_on(data, base.with_comm)
 

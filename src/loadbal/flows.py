@@ -10,6 +10,8 @@ matches senders (d > 0) against receivers (d < 0) in node-index order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .delays import CommDelayModel
@@ -21,7 +23,10 @@ def _fill(n: int, surplus: dict, deficit: dict) -> FlowMatrix:
 
     Each sender empties exactly: rounding crumbs left after the last receiver
     fills go to that receiver.  The matching runs on Python floats and the
-    matrix is written in one scatter.
+    matrix is written in one scatter.  Every entry is positive and no node
+    both sends and receives, so a matrix with finite entries is handed to
+    :class:`FlowMatrix` without its copy and checks; an infinite surplus or
+    deficit still meets the constructor's finiteness check.
     """
     receivers = sorted(deficit)
     left = [float(deficit[r]) for r in receivers]
@@ -46,7 +51,7 @@ def _fill(n: int, surplus: dict, deficit: dict) -> FlowMatrix:
     if entries:
         rows, cols = zip(*entries)
         x[rows, cols] = list(entries.values())
-    return FlowMatrix(x)
+    return FlowMatrix._adopt(x) if all(map(math.isfinite, entries.values())) else FlowMatrix(x)
 
 
 def synthesize_flows(network: Network, partition: NodePartition, rates) -> FlowMatrix:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,23 +40,56 @@ class Node:
             raise ValueError(f"node {self.id!r}: arrival_rate must be >= 0, got {self.arrival_rate}")
 
 
+class NodeColumns(NamedTuple):
+    """A node list as three columns, as a config parse reads it: ids, arrival rates and service rates.
+
+    The rates must satisfy what :class:`Node` and :class:`MM1NodeDelay`
+    check (arrival rates >= 0, service rates > 0); a network built on
+    columns that do not raises the error of the first node that fails.
+    """
+
+    ids: tuple[str, ...]
+    arrival_rates: list[float]
+    service_rates: list[float]
+
+
 class _NodeState:
     """What a network derives from its nodes alone, shared by every :meth:`Network.with_comm` copy.
 
-    ``last_search`` is the last inner price search run on these nodes,
-    ``(comm_price, alpha)``: the solver's alpha depends on the nodes and
-    the price only, so every network on these nodes can reuse it.
+    It holds the node ids, read-only arrival, service and marginal-delay
+    arrays, the total arrivals and the stability verdict.  Built from
+    :class:`NodeColumns`, it makes its ``Node`` tuple on first use of
+    :attr:`nodes` and keeps it; built from nodes, it keeps their tuple.
+
+    The solver keeps what it derived from these nodes and a price here,
+    since every network on these nodes can reuse it: ``last_search`` is
+    the last inner price search, ``(comm_price, alpha)``; ``last_priced``
+    what the last returned probe priced at that pair (partition, rates,
+    node-term sum, transfer totals); ``keep_local`` the node-only part of
+    the no-transfer candidate.
     """
 
-    def __init__(self, nodes: tuple[Node, ...]):
-        if not nodes:
+    def __init__(self, nodes):
+        if isinstance(nodes, NodeColumns):
+            ids, arrival, service = nodes
+            if not len(ids) == len(arrival) == len(service):
+                raise ValueError(f"node columns differ in length: {len(ids)} ids, {len(arrival)} arrival "
+                                 f"rates, {len(service)} service rates")
+            self._nodes = None
+        else:
+            self._nodes = nodes = tuple(nodes)
+            ids = [n.id for n in nodes]
+            arrival = [n.arrival_rate for n in nodes]
+            service = [n.delay.service_rate for n in nodes]
+        self.ids = tuple(ids)
+        if not self.ids:
             raise ValueError("a network needs at least one node")
-        ids = [n.id for n in nodes]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate node ids: {ids}")
-        self.nodes = nodes
-        self.arrival = np.array([n.arrival_rate for n in nodes], dtype=float)
-        self.service = np.array([n.delay.service_rate for n in nodes], dtype=float)
+        if len(set(self.ids)) != len(self.ids):
+            raise ValueError(f"duplicate node ids: {list(self.ids)}")
+        self.arrival = np.array(arrival, dtype=float)
+        self.service = np.array(service, dtype=float)
+        if self._nodes is None and not (np.all(self.arrival >= 0) and np.all(self.service > 0)):
+            self._nodes = self._make_nodes()  # raises the error of the first node that fails
         self.marginal_at_arrivals = mm1_marginal_delay(self.service, self.arrival)
         self.marginal_at_zero = mm1_marginal_delay(self.service, 0.0)
         for array in (self.arrival, self.service, self.marginal_at_arrivals, self.marginal_at_zero):
@@ -67,23 +101,38 @@ class _NodeState:
                 f">= total capacity {self.service.sum()}"
             )
         self.last_search: tuple[float, float] | None = None
+        self.last_priced = None
+        self.keep_local = None
+
+    @property
+    def nodes(self) -> tuple[Node, ...]:
+        if self._nodes is None:
+            self._nodes = self._make_nodes()
+        return self._nodes
+
+    def _make_nodes(self) -> tuple[Node, ...]:
+        return tuple(Node(id=i, arrival_rate=a, delay=MM1NodeDelay(service_rate=s))
+                     for i, a, s in zip(self.ids, self.arrival.tolist(), self.service.tolist()))
 
 
 class Network:
     """An ordered set of nodes sharing one interconnect delay model.
 
+    ``nodes`` is a sequence of :class:`Node`, kept as a tuple, or
+    :class:`NodeColumns`, from which the ``Node`` tuple is built on first
+    use of :attr:`nodes`; either way the network is the same.
     Construction rejects instances whose total arrival rate reaches total
     service capacity; no allocation could stabilize those.  The price search
     reads ``marginal_at_arrivals`` f_i(phi_i) (inf at saturation) and
     ``marginal_at_zero`` f_i(0) on every probe, so they are fixed here.
     None of that depends on the interconnect, so :meth:`with_comm` moves a
     network to another interconnect without rebuilding it: the copies share
-    the node tuple, the read-only arrays, the totals, the stability verdict
-    and the last inner price search.
+    the node state, so a solve on a copy recomputes only what its comm
+    model changes (see ``_NodeState`` for what the solver keeps there).
     """
 
     def __init__(self, nodes, comm: CommDelayModel):
-        self._node_state = _NodeState(tuple(nodes))
+        self._node_state = _NodeState(nodes)
         self.comm = comm
 
     def with_comm(self, comm: CommDelayModel) -> "Network":
@@ -94,7 +143,7 @@ class Network:
         return twin
 
     def __len__(self) -> int:
-        return len(self._node_state.nodes)
+        return len(self._node_state.ids)
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -136,6 +185,19 @@ class FlowMatrix:
             raise ValueError("flow matrix diagonal must be zero")
         x.setflags(write=False)
         self._x = x
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray) -> "FlowMatrix":
+        """A flow matrix on ``x`` itself, without the copy and the checks.
+
+        Only for builders whose ``x`` is a fresh float64 matrix that is square,
+        finite and nonnegative with a zero diagonal by construction
+        (``flows._fill``); everything else goes through the constructor.
+        """
+        x.setflags(write=False)
+        flow = object.__new__(cls)
+        flow._x = x
+        return flow
 
     @classmethod
     def zero(cls, n: int) -> "FlowMatrix":
@@ -352,8 +414,17 @@ def objective(network: Network, rates, traffic):
     (see :func:`node_terms` and :func:`comm_term`).  A saturated node or
     interconnect makes a row inf.  Rates must be >= 0.
     """
-    beta = np.asarray(rates, dtype=float)
-    return node_terms(network.service_rates, beta).sum(axis=-1) + comm_term(network, traffic)
+    return node_sum(network, rates) + comm_term(network, traffic)
+
+
+def node_sum(network: Network, rates):
+    """The node part of :func:`objective`, sum_i beta_i F_i(beta_i), row by row.
+
+    The solver keeps it for rates that depend on the nodes and prices
+    alone and adds the communication term per interconnect, so both reach
+    the bits of :func:`objective`.
+    """
+    return node_terms(network.service_rates, np.asarray(rates, dtype=float)).sum(axis=-1)
 
 
 def mean_response_time(network: Network, flow: FlowMatrix) -> float:

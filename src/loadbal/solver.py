@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,6 +50,8 @@ from .network import (
     Network,
     NodePartition,
     aggregate_objective,
+    comm_term,
+    node_sum,
 )
 
 log = logging.getLogger(__name__)
@@ -138,9 +140,14 @@ def partition_for_prices(network: Network, alpha: float, comm_price: float) -> t
     load, bounded below by ``alpha`` only.
     """
     sink, band, priced_out, beta = _price_pass(network, alpha, comm_price)
+    return _roles(network, sink, band, priced_out), beta
+
+
+def _roles(network: Network, sink: np.ndarray, band: np.ndarray, priced_out: np.ndarray) -> NodePartition:
+    """The partition that the masks of :func:`_price_pass` describe."""
     kept = band | (network.arrival_rates == 0.0)
     codes = np.where(sink, SINK_CODE, np.where(kept, NEUTRAL_CODE, np.where(priced_out, IDLE_CODE, ACTIVE_CODE)))
-    return NodePartition.from_codes(codes), beta
+    return NodePartition.from_codes(codes)
 
 
 def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
@@ -265,23 +272,28 @@ def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: 
     return min(max(root, left), right)
 
 
-def _check_price_resolution(network: Network, solution: OptimalSolution) -> None:
-    """Raise unless float64 resolves the price of every sink and active source to 1e-8.
+def _blurred_node(network: Network, partition: NodePartition, beta: np.ndarray) -> int | None:
+    """The first sink or active source whose price float64 does not resolve to 1e-8, or None.
 
     Rounding beta moves the price mu / (mu - beta)^2 by up to eps * mu / (mu - beta) relative,
     and 1e-8 is what :func:`verify_optimality` certifies by default.
     """
-    codes = solution.partition.codes
+    codes = partition.codes
     mu = network.service_rates
-    headroom = mu - np.asarray(solution.allocation.rates)
     priced = (codes == SINK_CODE) | (codes == ACTIVE_CODE)
-    blurred = np.flatnonzero(priced & (np.finfo(float).eps * mu > 1e-8 * headroom))
-    if blurred.size:
-        i = blurred[0]
+    blurred = np.flatnonzero(priced & (np.finfo(float).eps * mu > 1e-8 * (mu - beta)))
+    return int(blurred[0]) if blurred.size else None
+
+
+def _check_price_resolution(network: Network, solution: OptimalSolution, blurred: int | None) -> None:
+    """Raise unless ``blurred``, the :func:`_blurred_node` of ``solution``, is None."""
+    if blurred is not None:
+        mu = network.service_rates[blurred]
         raise ConvergenceError(
-            f"no finite alpha certifies the load: node {network.nodes[i].id!r} would run {headroom[i]:.3g} "
-            f"below its capacity {mu[i]:.6g}, where rounding blurs its marginal delay by more than 1e-8; "
-            f"total arrivals are within rounding of the capacity that can absorb them", best=solution)
+            f"no finite alpha certifies the load: node {network.nodes[blurred].id!r} would run "
+            f"{mu - solution.allocation.rates[blurred]:.3g} below its capacity {mu:.6g}, where rounding "
+            f"blurs its marginal delay by more than 1e-8; total arrivals are within rounding of the "
+            f"capacity that can absorb them", best=solution)
 
 
 def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarray) -> tuple[float, float]:
@@ -292,6 +304,74 @@ def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarra
     return float((beta - phi)[codes == SINK_CODE].sum()), float((phi - beta)[sources].sum())
 
 
+@dataclass(frozen=True)
+class _Priced:
+    """What the price pass at ``(comm_price, alpha)`` gives that no interconnect changes.
+
+    The node state keeps the one of the last returned probe (``last_priced``):
+    a later solve on the same nodes, by this network or a
+    :meth:`Network.with_comm` copy, whose probe lands on the same prices
+    reads its implied traffic and its answer from it instead of running the
+    pass, building the roles and summing the node terms again.
+    """
+
+    comm_price: float
+    alpha: float
+    partition: NodePartition
+    rates: tuple[float, ...]     # a tuple, so no caller can write into it
+    node_sum: float              # network.node_sum of the rates
+    mass_balance: float          # |sum(beta) - Phi|
+    surplus: float               # see _transfer_totals
+    deficit: float
+    blurred: int | None          # see _blurred_node
+
+
+def _priced(network: Network, probe: "_Probe") -> _Priced:
+    """The :class:`_Priced` of ``probe`` from the masks and rates its price pass kept."""
+    sink, band, priced_out, beta = probe.price_pass
+    partition = _roles(network, sink, band, priced_out)
+    surplus, deficit = _transfer_totals(network, partition, beta)
+    return _Priced(
+        comm_price=probe.comm_price,
+        alpha=probe.alpha,
+        partition=partition,
+        rates=tuple(beta.tolist()),
+        node_sum=node_sum(network, beta),
+        mass_balance=abs(float(beta.sum()) - network.total_arrival_rate),
+        surplus=surplus,
+        deficit=deficit,
+        blurred=_blurred_node(network, partition, beta),
+    )
+
+
+@dataclass(frozen=True)
+class _KeepLocal:
+    """The node-only part of the no-transfer candidate, built once per node state (``keep_local``)."""
+
+    allocation: Allocation           # every node keeps its arrivals; no traffic
+    partition: NodePartition         # all neutral
+    alpha: float                     # the smallest marginal delay at arrivals
+    loaded_marginals: np.ndarray     # f_i(phi_i) of the nodes with arrivals, read-only
+    node_sum: float                  # network.node_sum of the arrivals
+
+
+def _keep_local(network: Network) -> _KeepLocal:
+    state = network._node_state
+    if state.keep_local is None:
+        phi = network.arrival_rates
+        f_at_phi = network.marginal_at_arrivals
+        loaded = f_at_phi[phi > 0]
+        loaded.setflags(write=False)
+        state.keep_local = _KeepLocal(
+            allocation=Allocation(rates=tuple(phi.tolist()), transfer_rate=0.0),
+            partition=NodePartition.from_codes(np.full(len(network), NEUTRAL_CODE)),
+            alpha=float(f_at_phi.min()),
+            loaded_marginals=loaded,
+            node_sum=node_sum(network, phi),
+        )
+    return state.keep_local
+
+
 def _no_transfer_solution(network: Network, iterations: int,
                           interior_objective: float | None) -> OptimalSolution:
     """The exact keep-everything-local assignment, as a solution value.
@@ -300,20 +380,18 @@ def _no_transfer_solution(network: Network, iterations: int,
     valid price whenever the neutral band is wide enough to hold every
     node).  When it is not — the interconnect's fixed cost is what makes
     staying local optimal — the solution is flagged so verification knows
-    the price band does not certify it.
+    the price band does not certify it.  Only the comm price, that band
+    test and the objective's comm term are computed per call.
     """
-    phi = network.arrival_rates
+    local = _keep_local(network)
     comm_price = network.total_arrival_rate * network.comm.delay_derivative(0.0)
-    f_at_phi = network.marginal_at_arrivals
-    alpha = float(f_at_phi.min())
-    band_ok = bool(np.all(f_at_phi[phi > 0] <= alpha + comm_price))
-    allocation = Allocation(rates=tuple(phi.tolist()), transfer_rate=0.0)
+    band_ok = bool(np.all(local.loaded_marginals <= local.alpha + comm_price))
     return OptimalSolution(
-        allocation=allocation,
-        partition=NodePartition.from_codes(np.full(len(network), NEUTRAL_CODE)),
-        alpha=alpha,
+        allocation=local.allocation,
+        partition=local.partition,
+        alpha=local.alpha,
         comm_price=comm_price,
-        objective=aggregate_objective(network, allocation),
+        objective=float(local.node_sum + comm_term(network, 0.0)),
         iterations=iterations,
         residuals=SolutionResiduals(0.0, 0.0, 0.0, 0.0),
         no_transfer_override=not band_ok,
@@ -323,12 +401,17 @@ def _no_transfer_solution(network: Network, iterations: int,
 
 @dataclass(frozen=True)
 class _Probe:
-    """One outer probe: the assumed traffic, its prices and the traffic they imply."""
+    """One outer probe: the assumed traffic, its prices and the traffic they imply.
+
+    ``price_pass`` holds what :func:`_price_pass` returned at the prices, or
+    None when the node state's ``last_priced`` was at them and no pass ran.
+    """
 
     traffic: float
     comm_price: float
     alpha: float
     implied: float
+    price_pass: tuple | None = field(repr=False, compare=False)
 
     @property
     def gap(self) -> float:
@@ -392,9 +475,12 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     whose delay derivative does not vary with load need a single probe.
     Inner search: each probe finds ``alpha`` exactly by sorting the role
     breakpoints (:func:`_find_alpha`) and reads its implied traffic from
-    one array pass.  Roles are built once, for the probe returned.  The
-    interior candidate is compared against the exact no-transfer
-    assignment because the objective may be discontinuous at zero traffic.
+    one array pass, whose masks it keeps.  Roles are built once, from the
+    masks of the probe returned, and what that probe priced is kept with
+    the network's node state, so the next solve on these nodes at the
+    same prices runs no pass at all (see :class:`_Priced`).  The interior
+    candidate is compared against the exact no-transfer assignment because
+    the objective may be discontinuous at zero traffic.
 
     The traffic search stops once the gap or its bracket is within the
     rounding noise of the implied-traffic sum, about eps * sum(mu), and the
@@ -410,14 +496,22 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     lam_cap = min(phi_total, comm.max_rate * (1.0 - 1e-9))  # Phi for an unbounded model
     phi = network.arrival_rates
 
+    state = network._node_state
+    kept = state.last_priced
+
     def probe(traffic: float) -> _Probe:
         comm_price = phi_total * comm.delay_derivative(traffic)
         alpha = _find_alpha(network, comm_price)
-        sink, _, _, beta = _price_pass(network, alpha, comm_price)
-        implied = min(float((beta - phi)[sink].sum()), lam_cap)
+        if kept is not None and kept.comm_price == comm_price and kept.alpha == alpha:
+            surplus, price_pass = kept.surplus, None
+        else:
+            price_pass = _price_pass(network, alpha, comm_price)
+            sink, _, _, beta = price_pass
+            surplus = float((beta - phi)[sink].sum())
+        implied = min(surplus, lam_cap)
         log.debug("outer: traffic %.6g -> price %.6g, alpha %.6g, implied %.6g",
                   traffic, comm_price, alpha, implied)
-        return _Probe(traffic, comm_price, alpha, implied)
+        return _Probe(traffic, comm_price, alpha, implied, price_pass)
 
     # each sink's rate is rounded to about eps * mu and the implied traffic sums them
     noise = 4.0 * np.finfo(float).eps * float(network.service_rates.sum())
@@ -428,21 +522,23 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
         probes, stopped = _traffic_search(probe, probes[0], lam_cap, floor, cfg.max_outer)
     best = min(probes, key=lambda p: abs(p.gap))
 
-    partition, beta = partition_for_prices(network, best.alpha, best.comm_price)
+    priced = kept if best.price_pass is None else _priced(network, best)
+    state.last_priced = priced
     lam = best.implied
-    allocation = Allocation(rates=tuple(beta.tolist()), transfer_rate=lam)
-    surplus, deficit = _transfer_totals(network, partition, beta)
+    allocation = Allocation(rates=priced.rates, transfer_rate=lam)
+    if lam < 0:  # a sink's rate rounded below its arrivals: aggregate_objective refuses that traffic
+        aggregate_objective(network, allocation)
     interior = OptimalSolution(
         allocation=allocation,
-        partition=partition,
+        partition=priced.partition,
         alpha=best.alpha,
         comm_price=best.comm_price,
-        objective=aggregate_objective(network, allocation),
+        objective=float(priced.node_sum + comm_term(network, lam)),
         iterations=len(probes),
         residuals=SolutionResiduals(
-            mass_balance=abs(float(beta.sum()) - phi_total),
-            sink_surplus_gap=abs(lam - surplus),
-            source_deficit_gap=abs(lam - deficit),
+            mass_balance=priced.mass_balance,
+            sink_surplus_gap=abs(lam - priced.surplus),
+            source_deficit_gap=abs(lam - priced.deficit),
             lambda_step=abs(best.gap),
         ),
         no_transfer_override=False,
@@ -463,7 +559,7 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     # a no-transfer answer whose objective is inf certifies nothing, so then the interior is the answer
     if interior.allocation.transfer_rate > 0 and (interior.objective < no_transfer.objective
                                                   or no_transfer.objective == np.inf):
-        _check_price_resolution(network, interior)
+        _check_price_resolution(network, interior, priced.blurred)
         return interior
     if no_transfer.no_transfer_override and interior.allocation.transfer_rate == 0:
         # interior converged to no transfers on its own; the band must hold

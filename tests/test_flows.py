@@ -142,3 +142,37 @@ class TestEliminateRelays:
             cost_before = model.delay(flow.total_rate) if flow.total_rate > 0 else 0.0
             cost_after = model.delay(out.total_rate) if out.total_rate > 0 else 0.0
             assert cost_after <= cost_before * (1 + 1e-12) + 1e-15
+
+
+class TestFillHandsOver:
+    """The greedy fill hands its fresh matrix to FlowMatrix without the constructor's copy and checks."""
+
+    def test_same_matrix_as_the_checked_constructor(self):
+        from conftest import random_network
+
+        rng = np.random.default_rng(53)
+        flows = []
+        for _ in range(60):
+            net = random_network(rng, int(rng.integers(2, 8)))
+            solution = lb.solve(net)
+            flows.append(lb.synthesize_flows(net, solution.partition, solution.allocation.rates))
+            flows.append(lb.eliminate_relays(random_feasible_flow(rng, headroom_network(rng, 6))))
+        for flow in flows:
+            checked = lb.FlowMatrix(flow.matrix)
+            assert flow == checked and repr(flow) == repr(checked)
+            assert flow.total_rate.hex() == checked.total_rate.hex()
+            assert flow.matrix.dtype == np.float64 and not flow.matrix.flags.writeable
+
+    def test_infinite_rates_still_meet_the_finiteness_check(self, asymmetric_pair):
+        partition = lb.NodePartition(roles=(lb.NodeRole.ACTIVE_SOURCE, lb.NodeRole.SINK))
+        # inf - inf passes the balance check as NaN, so the fill meets the infinite surplus
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="flow matrix entries must be finite"):
+            lb.synthesize_flows(asymmetric_pair, partition, (-np.inf, np.inf))
+
+    def test_constructor_still_copies_and_checks(self):
+        x = np.array([[0.0, 0.5], [0.0, 0.0]])
+        flow = lb.FlowMatrix(x)
+        x[0, 1] = 9.0
+        assert flow.matrix[0, 1] == 0.5
+        with pytest.raises(ValueError, match="diagonal"):
+            lb.FlowMatrix([[0.1, 0.0], [0.0, 0.0]])

@@ -424,6 +424,120 @@ class TestFindAlpha:
                 lb.solver._find_alpha(network, 0.0)
 
 
+def fresh_outcome(net):
+    """``repr`` of the solution and its KKT report, or of the ConvergenceError and its best iterate."""
+    try:
+        solution = lb.solve(net)
+    except lb.ConvergenceError as exc:
+        return f"ConvergenceError({exc}, {exc.best!r})"
+    return repr(solution) + repr(lb.verify_optimality(net, solution))
+
+
+def fresh(net):
+    """The same nodes and comm model on a node state of its own, with nothing kept."""
+    return lb.Network(net.nodes, net.comm)
+
+
+class TestSolveCaches:
+    """What the node state keeps (price search, priced probe, no-transfer part) never changes an answer."""
+
+    @staticmethod
+    def count_passes(monkeypatch):
+        passes = []
+        price_pass = lb.solver._price_pass
+
+        def counted(*args):
+            passes.append(args[1:])
+            return price_pass(*args)
+
+        monkeypatch.setattr(lb.solver, "_price_pass", counted)
+        return passes
+
+    def test_interleaved_prices(self, monkeypatch):
+        # A and B price differently on the same nodes: A misses, B misses and takes the slot,
+        # A misses again, and A once more is read from what the node state kept
+        net = make_network([1.5, 0.2, 0.0, 0.9], [4.0, 2.0, 3.0, 1.5], lb.ConstantCommDelay(0.05))
+        a, b = net, net.with_comm(lb.MM1ChannelCommDelay(0.05, 4.0))
+        expected = {id(a): fresh_outcome(fresh(a)), id(b): fresh_outcome(fresh(b))}
+        passes = self.count_passes(monkeypatch)
+        counts = []
+        for network in (a, b, a, a):
+            before = len(passes)
+            assert fresh_outcome(network) == expected[id(network)]
+            counts.append(len(passes) - before)
+        assert counts[0] == 1 and counts[1] > 1 and counts[2] == 1 and counts[3] == 0
+
+    def test_with_comm_across_models(self):
+        rng = np.random.default_rng(47)
+        raised = 0
+        for k in range(40):
+            base = wide_network(rng) if k % 2 else loaddep_network(rng, 60, ("mm1_channel", "polynomial")[k % 4 // 2])
+            total = max(base.total_arrival_rate, 1e-9)
+            t = float(np.median(1.0 / base.service_rates))
+            comms = [lb.ConstantCommDelay(t), lb.ConstantCommDelay(0.1 * t), lb.MM1ChannelCommDelay(t, 2.0 * total),
+                     lb.PolynomialCommDelay((0.0, t / total, t / total ** 2)), lb.ConstantCommDelay(t),
+                     lb.MM1ChannelCommDelay(t, 2.0 * total)]
+            for comm in comms:
+                network = base.with_comm(comm)
+                expected = fresh_outcome(fresh(network))
+                assert fresh_outcome(network) == expected
+                assert fresh_outcome(network) == expected  # again, from what was kept
+                raised += expected.startswith("ConvergenceError")
+        assert raised < 40 * len(comms)  # most answers are solutions, not errors
+
+    def test_override_answers(self):
+        net = make_network([1.5, 0.0], [4.0, 4.0], lb.ConstantCommDelay(0.2))
+        for network in (net, net, net.with_comm(lb.ConstantCommDelay(0.01)), net.with_comm(lb.ConstantCommDelay(0.3))):
+            solution = lb.solve(network)
+            assert fresh_outcome(network) == fresh_outcome(fresh(network))
+        assert solution.no_transfer_override and solution.interior_objective is not None
+
+    def test_interior_settles_on_no_transfer(self):
+        # two nodes one rounding step apart: keeping everything local fails the band test,
+        # but the interior rounds its sink's surplus to exactly 0, so the answer is the
+        # no-transfer assignment without the override flag
+        net = make_network([2.16782794575007, 2.1678279457500707], [2.6253515153750517] * 2,
+                           lb.ConstantCommDelay(0.05))
+        assert lb.solver._no_transfer_solution(net, 1, None).no_transfer_override
+        for network in (net, net, net.with_comm(lb.ConstantCommDelay(0.5))):
+            solution = lb.solve(network)
+            assert solution.allocation.transfer_rate == 0.0 and not solution.no_transfer_override
+            assert solution.interior_objective is None
+            assert fresh_outcome(network) == fresh_outcome(fresh(network))
+
+    def test_zero_total_arrivals(self):
+        net = make_network([0.0, 0.0, 0.0], [1.0, 2.0, 0.5], lb.MM1ChannelCommDelay(0.1, 1.0))
+        for network in (net, net, net.with_comm(lb.ConstantCommDelay(0.0))):
+            solution = lb.solve(network)
+            assert solution.allocation.rates == (0.0, 0.0, 0.0) and solution.objective == 0.0
+            assert fresh_outcome(network) == fresh_outcome(fresh(network))
+
+    def test_convergence_errors_repeat(self):
+        net = make_network([1.5, 0.0], [4.0, 4.0], lb.MM1ChannelCommDelay(0.02, 2.0))
+        capped = lb.SolverConfig(max_outer=3)
+
+        def outcome(network):
+            with pytest.raises(lb.ConvergenceError) as info:
+                lb.solve(network, capped)
+            return f"{info.value} {info.value.best!r}"
+
+        expected = outcome(fresh(net))
+        assert outcome(net) == expected
+        assert outcome(net) == expected
+        assert outcome(net.with_comm(net.comm)) == expected
+
+    def test_kept_values_are_immutable(self):
+        net = make_network([1.5, 0.2, 0.0, 0.9], [4.0, 2.0, 3.0, 1.5], lb.ConstantCommDelay(0.05))
+        solution = lb.solve(net)
+        state = net._node_state
+        priced, local = state.last_priced, state.keep_local
+        assert solution.allocation.rates is priced.rates and type(priced.rates) is tuple
+        assert solution.partition is priced.partition
+        assert type(local.allocation.rates) is tuple
+        for array in (priced.partition.codes, local.partition.codes, local.loaded_marginals):
+            assert not array.flags.writeable
+
+
 class TestTrafficSearch:
     def test_few_probes_at_n200(self):
         rng = np.random.default_rng(41)
