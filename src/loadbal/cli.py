@@ -11,12 +11,9 @@ Commands::
 Each command reads its config file once.  ``sweep`` solves its points one after
 another, each writing its value into that one config.  Unless ``--param`` is
 under ``nodes``, it parses the node list once and every point shares that
-network's node state (``Network.with_comm``), so a point recomputes only what
-its comm model changes: the node arrays and the no-transfer candidate's node
-part are built once, and a point whose comm price equals the last one's, as
-every point on constant comm does, reuses that inner price search and what
-its probe priced (roles, rates, node-term sum, transfer totals).  A
-``--param`` under ``nodes`` re-parses the whole config at every point.
+network's node state (``Network.with_comm``); a ``--param`` under ``nodes``
+re-parses the whole config at every point.  Either way each row is bit for
+bit the one a fresh parse of that point gives.
 
 Exit codes: 0 success, 1 check failure, 2 invalid input, 3 non-convergence.
 ``LOADBAL_LOG={error|info|debug}`` controls diagnostics on standard error.
@@ -27,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import logging
@@ -265,6 +263,7 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # argparse builds a help formatter per argument; each parse makes a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="loadbal", description="Optimal static load allocation toolkit")
     parser.add_argument("--version", action="version", version=f"loadbal {__version__}")

@@ -174,8 +174,7 @@ def parse_sections(data: dict, base: Network) -> Scenario:
     """The scenario of config ``data`` on the nodes of the already parsed network ``base``.
 
     Only ``comm``, ``solver`` and ``sim`` are read from ``data``; the
-    network is ``base.with_comm``, so it shares ``base``'s node state and
-    what the solver keeps there.
+    network is ``base.with_comm``, so it shares ``base``'s node state.
     """
     return _parse_on(data, base.with_comm)
 

@@ -60,13 +60,7 @@ class _NodeState:
     arrays, the total arrivals and the stability verdict.  Built from
     :class:`NodeColumns`, it makes its ``Node`` tuple on first use of
     :attr:`nodes` and keeps it; built from nodes, it keeps their tuple.
-
-    The solver keeps what it derived from these nodes and a price here,
-    since every network on these nodes can reuse it: ``last_search`` is
-    the last inner price search, ``(comm_price, alpha)``; ``last_priced``
-    what the last returned probe priced at that pair (partition, rates,
-    node-term sum, transfer totals); ``keep_local`` the node-only part of
-    the no-transfer candidate.
+    ``solver_memo`` belongs to the solver, which fills it on first use.
     """
 
     def __init__(self, nodes):
@@ -100,9 +94,7 @@ class _NodeState:
                 f"unstable network: total arrival rate {self.total_arrival} "
                 f">= total capacity {self.service.sum()}"
             )
-        self.last_search: tuple[float, float] | None = None
-        self.last_priced = None
-        self.keep_local = None
+        self.solver_memo = None
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -127,8 +119,8 @@ class Network:
     ``marginal_at_zero`` f_i(0) on every probe, so they are fixed here.
     None of that depends on the interconnect, so :meth:`with_comm` moves a
     network to another interconnect without rebuilding it: the copies share
-    the node state, so a solve on a copy recomputes only what its comm
-    model changes (see ``_NodeState`` for what the solver keeps there).
+    the node state, and a solve on a copy answers bit for bit as on a
+    fresh network.
     """
 
     def __init__(self, nodes, comm: CommDelayModel):
@@ -420,9 +412,7 @@ def objective(network: Network, rates, traffic):
 def node_sum(network: Network, rates):
     """The node part of :func:`objective`, sum_i beta_i F_i(beta_i), row by row.
 
-    The solver keeps it for rates that depend on the nodes and prices
-    alone and adds the communication term per interconnect, so both reach
-    the bits of :func:`objective`.
+    Adding :func:`comm_term` to it gives the bits of :func:`objective`.
     """
     return node_terms(network.service_rates, np.asarray(rates, dtype=float)).sum(axis=-1)
 

@@ -49,7 +49,7 @@ from .network import (
     Allocation,
     Network,
     NodePartition,
-    aggregate_objective,
+    aggregate_objective,  # not called here; bench/tracing.py counts calls under this name
     comm_term,
     node_sum,
 )
@@ -102,8 +102,10 @@ class ConvergenceError(RuntimeError):
     Either the fixed point on the transfer traffic did not settle (or settles
     only within the implied traffic's rounding noise, which a large-mu sink
     can lift above the 1e-9*Phi gate), or total arrivals lie within rounding
-    of the capacity that can absorb them.  Carries the best iterate, where
-    there is one, so callers can inspect or report it.
+    of the capacity that can absorb them, or a sink's rate rounds below
+    its arrivals (as on nodes tied within rounding), so the implied
+    traffic is negative.  Carries the best iterate, where there is one, so
+    callers can inspect or report it.
     """
 
     def __init__(self, message: str, best: OptimalSolution | None = None):
@@ -164,17 +166,17 @@ def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
 def _find_alpha(network: Network, comm_price: float) -> float:
     """Exact breakpoint search for the common price: inf{alpha : flow_residual > 0}.
 
-    The answer depends on the nodes and ``comm_price`` only, so the last one
-    is kept with the network's node state and returned when the same price
-    is asked again, by this network or by a :meth:`Network.with_comm` copy;
-    a search that raises keeps nothing.  See :func:`_search_alpha`.
+    The answer depends on the nodes and ``comm_price`` only, so the
+    node state's :class:`_Memo` keeps the last one and returns it when the
+    same price is asked again, by this network or by a
+    :meth:`Network.with_comm` copy; a search that raises keeps nothing.
+    See :func:`_search_alpha`.
     """
-    state = network._node_state
-    last = state.last_search
-    if last is not None and last[0] == comm_price:  # -0.0 and 0.0 give the same alpha bits
-        return last[1]
+    memo = _memo(network)
+    if memo.comm_price == comm_price:  # -0.0 and 0.0 give the same alpha bits
+        return memo.alpha
     alpha = _search_alpha(network, comm_price)
-    state.last_search = (comm_price, alpha)
+    memo.comm_price, memo.alpha, memo.priced = comm_price, alpha, None
     return alpha
 
 
@@ -202,13 +204,13 @@ def _search_alpha(network: Network, comm_price: float) -> float:
     R is 0 up to that price and positive beyond it, so that price is the
     answer, returned exactly: nodes tied with it classify as neutral.
     """
+    memo = _memo(network)
+    if memo.band_holds(comm_price):
+        return memo.first_sink  # every node keeps its arrivals up to here, and a sink starts just above
     n = len(network)
     mu = network.service_rates
     phi = network.arrival_rates
     f_phi = network.marginal_at_arrivals
-    first_sink = float(f_phi.min())
-    if np.all(f_phi[phi > 0] <= first_sink + comm_price):
-        return first_sink  # every node keeps its arrivals up to here, and a sink starts just above
     root_mu = np.sqrt(mu)
     zero = np.zeros(n)
     points = np.concatenate((network.marginal_at_zero - comm_price, f_phi - comm_price, f_phi))
@@ -306,17 +308,8 @@ def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarra
 
 @dataclass(frozen=True)
 class _Priced:
-    """What the price pass at ``(comm_price, alpha)`` gives that no interconnect changes.
+    """What the price pass of a returned probe gives that no interconnect changes."""
 
-    The node state keeps the one of the last returned probe (``last_priced``):
-    a later solve on the same nodes, by this network or a
-    :meth:`Network.with_comm` copy, whose probe lands on the same prices
-    reads its implied traffic and its answer from it instead of running the
-    pass, building the roles and summing the node terms again.
-    """
-
-    comm_price: float
-    alpha: float
     partition: NodePartition
     rates: tuple[float, ...]     # a tuple, so no caller can write into it
     node_sum: float              # network.node_sum of the rates
@@ -332,8 +325,6 @@ def _priced(network: Network, probe: "_Probe") -> _Priced:
     partition = _roles(network, sink, band, priced_out)
     surplus, deficit = _transfer_totals(network, partition, beta)
     return _Priced(
-        comm_price=probe.comm_price,
-        alpha=probe.alpha,
         partition=partition,
         rates=tuple(beta.tolist()),
         node_sum=node_sum(network, beta),
@@ -344,32 +335,44 @@ def _priced(network: Network, probe: "_Probe") -> _Priced:
     )
 
 
-@dataclass(frozen=True)
-class _KeepLocal:
-    """The node-only part of the no-transfer candidate, built once per node state (``keep_local``)."""
+class _Memo:
+    """What the solver derives from one node state, kept there for every network on those nodes.
 
-    allocation: Allocation           # every node keeps its arrivals; no traffic
-    partition: NodePartition         # all neutral
-    alpha: float                     # the smallest marginal delay at arrivals
-    loaded_marginals: np.ndarray     # f_i(phi_i) of the nodes with arrivals, read-only
-    node_sum: float                  # network.node_sum of the arrivals
+    On fixed nodes the common price ``alpha`` depends on the comm price c
+    alone, so everything kept past the node-only part is keyed by one c:
 
+    * the node-only half of the no-transfer candidate: the keep-local
+      ``allocation``, its all-neutral ``partition``, ``first_sink`` (the
+      smallest f_i(phi_i)), ``widest`` (the largest f_i(phi_i) of a node
+      with arrivals, -inf without one) and ``local_sum``, the node-term
+      sum of the arrivals;
+    * the last inner price search, ``alpha`` at ``comm_price``;
+    * ``priced``, the :class:`_Priced` of the last returned probe when it
+      was at ``comm_price``, else None.
+    """
 
-def _keep_local(network: Network) -> _KeepLocal:
-    state = network._node_state
-    if state.keep_local is None:
+    def __init__(self, network: Network):
         phi = network.arrival_rates
-        f_at_phi = network.marginal_at_arrivals
-        loaded = f_at_phi[phi > 0]
-        loaded.setflags(write=False)
-        state.keep_local = _KeepLocal(
-            allocation=Allocation(rates=tuple(phi.tolist()), transfer_rate=0.0),
-            partition=NodePartition.from_codes(np.full(len(network), NEUTRAL_CODE)),
-            alpha=float(f_at_phi.min()),
-            loaded_marginals=loaded,
-            node_sum=node_sum(network, phi),
-        )
-    return state.keep_local
+        f_phi = network.marginal_at_arrivals
+        self.allocation = Allocation(rates=tuple(phi.tolist()), transfer_rate=0.0)
+        self.partition = NodePartition.from_codes(np.full(len(network), NEUTRAL_CODE))
+        self.first_sink = float(f_phi.min())
+        self.widest = float(f_phi[phi > 0].max(initial=-np.inf))
+        self.local_sum = float(node_sum(network, phi))
+        self.comm_price: float | None = None
+        self.alpha: float | None = None
+        self.priced: _Priced | None = None
+
+    def band_holds(self, comm_price: float) -> bool:
+        """Whether every node with arrivals fits in the price band [first_sink, first_sink + comm_price]."""
+        return self.widest <= self.first_sink + comm_price
+
+
+def _memo(network: Network) -> _Memo:
+    state = network._node_state
+    if state.solver_memo is None:
+        state.solver_memo = _Memo(network)
+    return state.solver_memo
 
 
 def _no_transfer_solution(network: Network, iterations: int,
@@ -380,21 +383,20 @@ def _no_transfer_solution(network: Network, iterations: int,
     valid price whenever the neutral band is wide enough to hold every
     node).  When it is not — the interconnect's fixed cost is what makes
     staying local optimal — the solution is flagged so verification knows
-    the price band does not certify it.  Only the comm price, that band
-    test and the objective's comm term are computed per call.
+    the price band does not certify it.  Only the comm price and that band
+    test are computed per call.
     """
-    local = _keep_local(network)
+    memo = _memo(network)
     comm_price = network.total_arrival_rate * network.comm.delay_derivative(0.0)
-    band_ok = bool(np.all(local.loaded_marginals <= local.alpha + comm_price))
     return OptimalSolution(
-        allocation=local.allocation,
-        partition=local.partition,
-        alpha=local.alpha,
+        allocation=memo.allocation,
+        partition=memo.partition,
+        alpha=memo.first_sink,
         comm_price=comm_price,
-        objective=float(local.node_sum + comm_term(network, 0.0)),
+        objective=memo.local_sum,  # the comm term is 0 at zero traffic
         iterations=iterations,
         residuals=SolutionResiduals(0.0, 0.0, 0.0, 0.0),
-        no_transfer_override=not band_ok,
+        no_transfer_override=not memo.band_holds(comm_price),
         interior_objective=interior_objective,
     )
 
@@ -404,7 +406,7 @@ class _Probe:
     """One outer probe: the assumed traffic, its prices and the traffic they imply.
 
     ``price_pass`` holds what :func:`_price_pass` returned at the prices, or
-    None when the node state's ``last_priced`` was at them and no pass ran.
+    None when the memo's ``priced`` was at them and no pass ran.
     """
 
     traffic: float
@@ -476,9 +478,9 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     Inner search: each probe finds ``alpha`` exactly by sorting the role
     breakpoints (:func:`_find_alpha`) and reads its implied traffic from
     one array pass, whose masks it keeps.  Roles are built once, from the
-    masks of the probe returned, and what that probe priced is kept with
-    the network's node state, so the next solve on these nodes at the
-    same prices runs no pass at all (see :class:`_Priced`).  The interior
+    masks of the probe returned, and what that probe priced is kept in the
+    node state's :class:`_Memo`, so the next solve on these nodes at the
+    same prices runs no pass at all.  The interior
     candidate is compared against the exact no-transfer assignment because
     the objective may be discontinuous at zero traffic.
 
@@ -496,13 +498,13 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     lam_cap = min(phi_total, comm.max_rate * (1.0 - 1e-9))  # Phi for an unbounded model
     phi = network.arrival_rates
 
-    state = network._node_state
-    kept = state.last_priced
+    memo = _memo(network)
+    kept, kept_price = memo.priced, memo.comm_price
 
     def probe(traffic: float) -> _Probe:
         comm_price = phi_total * comm.delay_derivative(traffic)
         alpha = _find_alpha(network, comm_price)
-        if kept is not None and kept.comm_price == comm_price and kept.alpha == alpha:
+        if kept is not None and kept_price == comm_price:
             surplus, price_pass = kept.surplus, None
         else:
             price_pass = _price_pass(network, alpha, comm_price)
@@ -523,13 +525,13 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
     best = min(probes, key=lambda p: abs(p.gap))
 
     priced = kept if best.price_pass is None else _priced(network, best)
-    state.last_priced = priced
+    memo.comm_price, memo.alpha, memo.priced = best.comm_price, best.alpha, priced
     lam = best.implied
-    allocation = Allocation(rates=priced.rates, transfer_rate=lam)
-    if lam < 0:  # a sink's rate rounded below its arrivals: aggregate_objective refuses that traffic
-        aggregate_objective(network, allocation)
+    if lam < 0:
+        raise ConvergenceError(f"a sink's rate rounded below its arrivals, so the implied transfer "
+                               f"traffic is negative ({lam!r})")
     interior = OptimalSolution(
-        allocation=allocation,
+        allocation=Allocation(rates=priced.rates, transfer_rate=lam),
         partition=priced.partition,
         alpha=best.alpha,
         comm_price=best.comm_price,

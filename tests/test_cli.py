@@ -19,6 +19,18 @@ def write_config(path, data):
     return str(path)
 
 
+@pytest.fixture
+def near_tie_config(tmp_path):
+    # two nodes tied within rounding: the sink's rate rounds below its arrivals
+    return write_config(tmp_path / "tie.json", {
+        "nodes": [
+            {"id": "a", "arrival_rate": 0.2738928865148232, "service_rate": 2.090942092002429},
+            {"id": "b", "arrival_rate": 0.27389288651482346, "service_rate": 2.090942092002429},
+        ],
+        "comm": {"model": "constant", "params": {"t": 0.05}},
+    })
+
+
 def exit_code(argv):
     """``main``'s exit code, also when argparse rejects the command line by raising SystemExit."""
     try:
@@ -133,6 +145,12 @@ class TestSolve:
         })
         assert main(["solve", path]) == 3
         assert "best iterate" in capsys.readouterr().err
+
+    def test_near_tie_exit_3(self, near_tie_config, capsys):
+        assert main(["solve", near_tie_config]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sink's rate rounded below its arrivals")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("solver, argv, message", [
         # the solver has no tolerances to set: their keys and flags are unknown input
@@ -334,6 +352,12 @@ class TestSweep:
         assert rows[1] == ["0.0", "nan", "nan", "nan", "invalid"]
         assert all(r[4] not in ("invalid", "unstable") for r in rows[2:])
 
+    def test_near_tie_marked(self, near_tie_config, capsys):
+        assert main(["sweep", near_tie_config, "--param", "comm.params.t",
+                     "--from", "0.0", "--to", "0.3", "--steps", "3"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert [r[1:] for r in rows[1:]] == [["nan", "nan", "nan", "no_convergence"]] * 3
+
     def test_bad_param_path_exit_2(self, asym_config, capsys):
         assert main(["sweep", asym_config, "--param", "comm.params.bandwidth",
                      "--from", "0", "--to", "1", "--steps", "3"]) == 2
@@ -479,6 +503,38 @@ class TestLogging:
 
 
 class TestDeterminism:
+    def test_one_process_prints_what_fresh_runs_print(self, asym_config, tmp_path, capsys):
+        # main builds its parser once per process; no flag or default of one call reaches the next
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(lb.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        sweep_out, csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "solve.csv", tmp_path / "solve.json"
+        runs = [
+            ["sweep", asym_config, "--param", "comm.params.t", "--from", "0.0", "--to", "0.3", "--steps", "4",
+             "--out", str(sweep_out)],
+            ["solve", asym_config, "--format", "csv", "--out", str(csv_out)],
+            ["solve", asym_config, "--out", str(json_out)],
+            ["simulate", asym_config, "--policy", "static_optimal"],
+        ]
+        outs = (sweep_out, csv_out, json_out)
+        for argv in runs:
+            # each call writes exactly the files a fresh run writes: the JSON solve no CSV and
+            # the simulation nothing, whatever the call before it set
+            for p in outs:
+                p.unlink(missing_ok=True)
+            fresh = subprocess.run([sys.executable, "-m", "loadbal", *argv], capture_output=True, env=env)
+            assert fresh.returncode == 0
+            written = {p.name: p.read_bytes() for p in outs if p.exists()}
+            for p in outs:
+                p.unlink(missing_ok=True)
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == fresh.stdout
+            assert {p.name: p.read_bytes() for p in outs if p.exists()} == written
+        assert lb.cli._build_parser() is lb.cli._build_parser()
+
     def test_repeat_runs_byte_identical(self, asym_config, tmp_path):
         pairs = []
         for tag in ("one", "two"):

@@ -152,6 +152,16 @@ class TestSolve:
         assert info.value.best is not None
         assert info.value.best.allocation.transfer_rate >= 0.0
 
+    def test_near_tie_raises_convergence_error(self):
+        # the sink priced just below its tie rounds its rate below its arrivals, so the
+        # implied traffic is negative: a typed error, not a ValueError from the objective
+        net = make_network([0.2738928865148232, 0.27389288651482346], [2.090942092002429] * 2,
+                           lb.ConstantCommDelay(0.05))
+        for network in (net, net, net.with_comm(lb.ConstantCommDelay(0.5))):
+            with pytest.raises(lb.ConvergenceError, match="rounded below its arrivals") as info:
+                lb.solve(network)
+            assert "-5.551115123125783e-17" in str(info.value)
+
     def test_determinism(self, asymmetric_pair):
         a = lb.solve(asymmetric_pair)
         b = lb.solve(asymmetric_pair)
@@ -294,6 +304,43 @@ def wide_network(rng):
 
 
 class TestFindAlpha:
+    def test_band_predicate_is_exact(self):
+        # the search's all-neutral exit and the no-transfer band test are one predicate on the
+        # same floats: every loaded f(phi) <= min f(phi) + c, checked here with numpy on draws
+        # with unloaded, overloaded (f = inf) and tied nodes, and with one loaded node
+        rng = np.random.default_rng(53)
+        held = overrides = 0
+        for k in range(400):
+            n = int(rng.integers(2, 7))
+            mu = 10.0 ** rng.uniform(-1.0, 1.0, n)
+            phi = rng.uniform(0.0, 0.95, n) * mu
+            phi[rng.random(n) < 0.3] = 0.0
+            if k % 4 == 1:
+                phi[1:] = 0.0
+            elif k % 4 == 2:
+                phi[:], mu[:] = phi[0], mu[0]
+            elif k % 4 == 3:
+                phi[0] = mu[0] * float(rng.uniform(1.0, 1.5))
+                mu[-1], phi[-1] = 100.0, 0.0  # capacity left to keep the network stable
+            total = float(phi.sum())
+            comms = (lb.ConstantCommDelay(0.05), lb.MM1ChannelCommDelay(0.05, 2.0 * total + 1.0),
+                     lb.PolynomialCommDelay((0.0, float(rng.uniform(0.0, 0.2)), 0.01)))
+            base = make_network(phi, mu, comms[k % 3])
+            f_phi = base.marginal_at_arrivals
+            first_sink = f_phi.min()
+            gap = float(f_phi[phi > 0].max(initial=-np.inf) - first_sink)
+            for net in (base, base.with_comm(comms[(k + 1) % 3])):
+                c0 = net.total_arrival_rate * net.comm.delay_derivative(0.0)
+                for c in (c0, 0.0, gap, float(np.nextafter(gap, -np.inf)), float(rng.uniform(0.0, 0.5))):
+                    if c >= 0.0 and np.all(f_phi[phi > 0] <= first_sink + c):
+                        held += 1
+                        assert lb.solver._find_alpha(net, c) == first_sink
+                band = np.all(f_phi[phi > 0] <= first_sink + c0)
+                override = lb.solver._no_transfer_solution(net, 1, None).no_transfer_override
+                assert override == np.logical_not(band)
+                overrides += override
+        assert held > 500 and 0 < overrides < 800
+
     def test_residual_at_rounding_level_with_large_sinks(self):
         # idle nodes with mu up to 1e4 become sinks; a heavily loaded fast node
         # keeps the sum's own rounding step (about 2e-16 * mu) below the bound
@@ -529,12 +576,12 @@ class TestSolveCaches:
     def test_kept_values_are_immutable(self):
         net = make_network([1.5, 0.2, 0.0, 0.9], [4.0, 2.0, 3.0, 1.5], lb.ConstantCommDelay(0.05))
         solution = lb.solve(net)
-        state = net._node_state
-        priced, local = state.last_priced, state.keep_local
-        assert solution.allocation.rates is priced.rates and type(priced.rates) is tuple
-        assert solution.partition is priced.partition
-        assert type(local.allocation.rates) is tuple
-        for array in (priced.partition.codes, local.partition.codes, local.loaded_marginals):
+        memo = net._node_state.solver_memo
+        assert isinstance(memo, lb.solver._Memo) and memo.comm_price == solution.comm_price
+        assert solution.allocation.rates is memo.priced.rates and type(memo.priced.rates) is tuple
+        assert solution.partition is memo.priced.partition
+        assert type(memo.allocation.rates) is tuple
+        for array in (memo.priced.partition.codes, memo.partition.codes):
             assert not array.flags.writeable
 
 
