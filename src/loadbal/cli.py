@@ -180,6 +180,10 @@ def cmd_check(args) -> int:
     print(f"roles              solver={comparison.solver_roles} oracle={comparison.oracle_roles}")
     if not comparison.ok:
         print("check FAILED: solver objective exceeds oracle optimum by more than 1e-5", file=sys.stderr)
+    if not kkt.passed():
+        print(f"check FAILED: the solution's worst optimality residual {kkt.worst():.3e} exceeds 1e-8",
+              file=sys.stderr)
+    if not (comparison.ok and kkt.passed()):
         return EXIT_CHECK_FAILED
     print("check passed")
     return EXIT_OK
@@ -277,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     for name, func, about in (("oracle", cmd_oracle, "brute-force optimum (n <= 5) and gap to the solver"),
-                              ("check", cmd_check, "solve + oracle + compare; nonzero exit on disagreement")):
+                              ("check", cmd_check, "solve + oracle + compare; exit 1 on disagreement or failed KKT")):
         p = sub.add_parser(name, parents=[config], help=about)
         p.add_argument("--grid", type=int, default=201)
         p.add_argument("--refine", type=int, default=6)

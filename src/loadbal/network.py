@@ -20,7 +20,12 @@ from .delays import INFINITE, CommDelayModel, MM1NodeDelay, mm1_delay, mm1_margi
 
 
 class UnstableNetworkError(ValueError):
-    """Total arrival rate at or beyond total service capacity."""
+    """Total arrival rate at or beyond total service capacity, or an interconnect too slow for the overload.
+
+    A node whose arrivals exceed its service rate must ship the excess, so
+    no stable plan exists once lambda_min, the sum of those excesses,
+    reaches the interconnect's saturation rate.
+    """
 
 
 class InfeasibleFlowError(ValueError):
@@ -57,9 +62,10 @@ class _NodeState:
     """What a network derives from its nodes alone, shared by every :meth:`Network.with_comm` copy.
 
     It holds the node ids, read-only arrival, service and marginal-delay
-    arrays, the total arrivals and the stability verdict.  Built from
-    :class:`NodeColumns`, it makes its ``Node`` tuple on first use of
-    :attr:`nodes` and keeps it; built from nodes, it keeps their tuple.
+    arrays, the total arrivals, the stability verdict and ``min_traffic``,
+    the transfer traffic lambda_min that overloaded nodes must exceed.
+    Built from :class:`NodeColumns`, it makes its ``Node`` tuple on first use
+    of :attr:`nodes` and keeps it; built from nodes, it keeps their tuple.
     ``solver_memo`` belongs to the solver, which fills it on first use.
     """
 
@@ -94,7 +100,20 @@ class _NodeState:
                 f"unstable network: total arrival rate {self.total_arrival} "
                 f">= total capacity {self.service.sum()}"
             )
+        self.min_traffic = float(np.maximum(self.arrival - self.service, 0.0).sum())
         self.solver_memo = None
+
+    def check_channel(self, comm: CommDelayModel) -> None:
+        """Raise :class:`UnstableNetworkError` if ``comm`` saturates at or below ``min_traffic``."""
+        if self.min_traffic >= comm.max_rate:
+            over = np.flatnonzero(self.arrival > self.service)
+            names = ", ".join(repr(self.ids[i]) for i in over[:5])
+            if over.size > 5:
+                names += f" and {over.size - 5} more"
+            raise UnstableNetworkError(
+                f"unstable network: nodes {names} must ship more than lambda_min = {self.min_traffic!r} in "
+                f"total, their arrivals beyond their service rates, but the interconnect saturates at "
+                f"max_rate = {comm.max_rate!r}")
 
     @property
     def nodes(self) -> tuple[Node, ...]:
@@ -113,10 +132,12 @@ class Network:
     ``nodes`` is a sequence of :class:`Node`, kept as a tuple, or
     :class:`NodeColumns`, from which the ``Node`` tuple is built on first
     use of :attr:`nodes`; either way the network is the same.
-    Construction rejects instances whose total arrival rate reaches total
-    service capacity; no allocation could stabilize those.  The price search
+    Construction (and :meth:`with_comm`) rejects instances whose total
+    arrival rate reaches total service capacity, or whose interconnect
+    saturates below the traffic the overloaded nodes must ship; no
+    allocation could stabilize those.  The price search
     reads ``marginal_at_arrivals`` f_i(phi_i) (inf at saturation) and
-    ``marginal_at_zero`` f_i(0) on every probe, so they are fixed here.
+    ``marginal_at_zero`` f_i(0) on every price pass, so they are fixed here.
     None of that depends on the interconnect, so :meth:`with_comm` moves a
     network to another interconnect without rebuilding it: the copies share
     the node state, and a solve on a copy answers bit for bit as on a
@@ -125,10 +146,12 @@ class Network:
 
     def __init__(self, nodes, comm: CommDelayModel):
         self._node_state = _NodeState(nodes)
+        self._node_state.check_channel(comm)
         self.comm = comm
 
     def with_comm(self, comm: CommDelayModel) -> "Network":
         """This network's nodes on interconnect ``comm``, sharing all of their state with this network."""
+        self._node_state.check_channel(comm)
         twin = object.__new__(Network)
         twin._node_state = self._node_state
         twin.comm = comm

@@ -19,17 +19,18 @@ load pins ``alpha``: the residual (allocated minus arriving load) is
 K - S1 alpha^(-1/2) - S2 (alpha + c)^(-1/2) between consecutive role
 breakpoints 1/mu_i - c, f_i(phi_i) - c and f_i(phi_i), with
 f(beta) = mu / (mu - beta)^2.  Sorting those breakpoints locates the
-segment holding the root, which is then solved on that segment in closed
-form or by a few monotone Newton steps (single-point water-filling, as in
-Tantawi & Towsley 1985 and Kim & Kameda 1992).  The traffic ``lambda``
-solves the self-consistency gap between assumed and implied transfer
-traffic, since the surcharge itself depends on it; Illinois regula falsi
-brackets it, usually within ten probes.  Interconnect models with a fixed cost
-at zero traffic make the objective discontinuous at the no-transfer
-point; the solver compares the converged interior candidate against the
-exact no-transfer assignment and returns the better, flagging the case
-where the comparison (not the price conditions) is what justifies the
-answer.
+segment holding the root, which is then solved in closed form or by a few
+monotone Newton steps (single-point water-filling, as in Tantawi & Towsley
+1985 and Kim & Kameda 1992).  The surcharge depends on the traffic
+``lambda``, and on a fixed role set both prices and ``lambda`` follow from
+one scalar equation, so the outer search solves it on each price pass's
+roles until a pass returns the roles it was priced for, usually on the
+second to fourth pass (the active-set, or pegging, method: Bretthauer &
+Shetty 2002, Patriksson 2008), after one breakpoint search at zero traffic.
+A fixed interconnect cost at zero traffic makes the objective
+discontinuous there, so the interior candidate is compared against the
+exact no-transfer assignment, and a case the comparison (not the price
+conditions) justifies is flagged.
 """
 
 from __future__ import annotations
@@ -59,11 +60,7 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The one solver setting: ``max_outer`` caps the outer traffic probes.
-
-    Both scalar searches stop where float64 stops resolving them, so
-    there is no tolerance to set.
-    """
+    """The one solver setting: ``max_outer`` caps the outer passes; every search stops where float64 does."""
 
     max_outer: int = 200
 
@@ -99,13 +96,12 @@ class OptimalSolution:
 class ConvergenceError(RuntimeError):
     """The solver found no answer it can certify.
 
-    Either the fixed point on the transfer traffic did not settle (or settles
-    only within the implied traffic's rounding noise, which a large-mu sink
-    can lift above the 1e-9*Phi gate), or total arrivals lie within rounding
-    of the capacity that can absorb them, or a sink's rate rounds below
-    its arrivals (as on nodes tied within rounding), so the implied
-    traffic is negative.  Carries the best iterate, where there is one, so
-    callers can inspect or report it.
+    Either ``max_outer`` passes did not settle the transfer traffic (the
+    message says when the best gap is within the rounding noise that a
+    large-mu sink lifts above the 1e-9*Phi gate), or total arrivals lie within
+    rounding of the capacity that can absorb them, or a sink's rate rounds
+    below its arrivals (as on nodes tied within rounding).  Carries the best
+    iterate, where there is one, so callers can inspect or report it.
     """
 
     def __init__(self, message: str, best: OptimalSolution | None = None):
@@ -136,41 +132,36 @@ def _price_pass(network: Network, alpha: float, comm_price: float):
 def partition_for_prices(network: Network, alpha: float, comm_price: float) -> tuple[NodePartition, np.ndarray]:
     """Role and processing rate of every node at the given prices, in one array pass.
 
-    Boundary ties classify as neutral (the closed-interval case), which
-    keeps each node's rate continuous in ``alpha``.  Nodes without external
-    arrivals can never be sources: when priced out they are neutral at zero
-    load, bounded below by ``alpha`` only.
+    Boundary ties classify as neutral, which keeps each node's rate continuous
+    in ``alpha``.  Nodes without arrivals are never sources: priced out, they
+    are neutral at zero load.
     """
     sink, band, priced_out, beta = _price_pass(network, alpha, comm_price)
-    return _roles(network, sink, band, priced_out), beta
+    return NodePartition.from_codes(_roles(network, sink, band, priced_out)), beta
 
 
-def _roles(network: Network, sink: np.ndarray, band: np.ndarray, priced_out: np.ndarray) -> NodePartition:
-    """The partition that the masks of :func:`_price_pass` describe."""
+def _roles(network: Network, sink: np.ndarray, band: np.ndarray, priced_out: np.ndarray) -> np.ndarray:
+    """The role codes that the masks of :func:`_price_pass` describe."""
     kept = band | (network.arrival_rates == 0.0)
     codes = np.where(sink, SINK_CODE, np.where(kept, NEUTRAL_CODE, np.where(priced_out, IDLE_CODE, ACTIVE_CODE)))
-    return NodePartition.from_codes(codes)
+    return codes.astype(np.int8)
 
 
 def flow_residual(network: Network, alpha: float, comm_price: float) -> float:
-    """Total allocated rate at these prices minus total arrivals.
+    """Total allocated rate at these prices minus total arrivals; non-decreasing in ``alpha``.
 
-    Non-decreasing in ``alpha``; strictly increasing wherever some node is
-    a sink or an active source, which is guaranteed above the smallest
-    marginal delay at arrivals.
+    It strictly increases above the smallest marginal delay at arrivals.
     """
     *_, beta = _price_pass(network, alpha, comm_price)
     return float(beta.sum()) - network.total_arrival_rate
 
 
 def _find_alpha(network: Network, comm_price: float) -> float:
-    """Exact breakpoint search for the common price: inf{alpha : flow_residual > 0}.
+    """Exact breakpoint search (:func:`_search_alpha`) for inf{alpha : flow_residual > 0}.
 
-    The answer depends on the nodes and ``comm_price`` only, so the
-    node state's :class:`_Memo` keeps the last one and returns it when the
-    same price is asked again, by this network or by a
-    :meth:`Network.with_comm` copy; a search that raises keeps nothing.
-    See :func:`_search_alpha`.
+    The answer depends on the nodes and ``comm_price`` only, so the node
+    state's :class:`_Memo` keeps the last one for this network and its
+    :meth:`Network.with_comm` copies; a search that raises keeps nothing.
     """
     memo = _memo(network)
     if memo.comm_price == comm_price:  # -0.0 and 0.0 give the same alpha bits
@@ -194,15 +185,10 @@ def _search_alpha(network: Network, comm_price: float) -> float:
     with K the service rates of sinks and active sources plus the neutral
     arrivals, less Phi, and S1 (S2) the sum of sqrt(mu) over sinks (active
     sources).  Cumulative sums over the sorted breakpoints give R at every
-    breakpoint; the first positive one closes the segment holding the root.
-    Its role set is summed again exactly and R is solved on it: in closed
-    form when only sinks or only sources move, else by Newton steps from
-    below, where R is concave and increasing so the iterates rise
-    monotonically to the root, and stop where float64 stops them.
-
-    When every loaded node fits in the band at the smallest f_i(phi_i),
-    R is 0 up to that price and positive beyond it, so that price is the
-    answer, returned exactly: nodes tied with it classify as neutral.
+    breakpoint; the first positive one closes the segment holding the root,
+    whose role set is summed again exactly and solved (:func:`_segment_root`).
+    When every loaded node fits in the band at the smallest f_i(phi_i), that
+    price is the answer, returned exactly: nodes tied with it are neutral.
     """
     memo = _memo(network)
     if memo.band_holds(comm_price):
@@ -274,33 +260,20 @@ def _segment_root(k: float, s1: float, s2: float, c: float, left: float, right: 
     return min(max(root, left), right)
 
 
-def _blurred_node(network: Network, partition: NodePartition, beta: np.ndarray) -> int | None:
+def _blurred_node(network: Network, codes: np.ndarray, beta: np.ndarray) -> int | None:
     """The first sink or active source whose price float64 does not resolve to 1e-8, or None.
 
     Rounding beta moves the price mu / (mu - beta)^2 by up to eps * mu / (mu - beta) relative,
     and 1e-8 is what :func:`verify_optimality` certifies by default.
     """
-    codes = partition.codes
     mu = network.service_rates
     priced = (codes == SINK_CODE) | (codes == ACTIVE_CODE)
     blurred = np.flatnonzero(priced & (np.finfo(float).eps * mu > 1e-8 * (mu - beta)))
     return int(blurred[0]) if blurred.size else None
 
 
-def _check_price_resolution(network: Network, solution: OptimalSolution, blurred: int | None) -> None:
-    """Raise unless ``blurred``, the :func:`_blurred_node` of ``solution``, is None."""
-    if blurred is not None:
-        mu = network.service_rates[blurred]
-        raise ConvergenceError(
-            f"no finite alpha certifies the load: node {network.nodes[blurred].id!r} would run "
-            f"{mu - solution.allocation.rates[blurred]:.3g} below its capacity {mu:.6g}, where rounding "
-            f"blurs its marginal delay by more than 1e-8; total arrivals are within rounding of the "
-            f"capacity that can absorb them", best=solution)
-
-
-def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarray) -> tuple[float, float]:
+def _transfer_totals(network: Network, codes: np.ndarray, beta: np.ndarray) -> tuple[float, float]:
     """Sink surplus, sum of beta - phi over sinks, and source deficit, sum of phi - beta over sources."""
-    codes = partition.codes
     phi = network.arrival_rates
     sources = (codes == IDLE_CODE) | (codes == ACTIVE_CODE)
     return float((beta - phi)[codes == SINK_CODE].sum()), float((phi - beta)[sources].sum())
@@ -308,7 +281,7 @@ def _transfer_totals(network: Network, partition: NodePartition, beta: np.ndarra
 
 @dataclass(frozen=True)
 class _Priced:
-    """What the price pass of a returned probe gives that no interconnect changes."""
+    """What the price pass of a returned answer gives that no interconnect changes."""
 
     partition: NodePartition
     rates: tuple[float, ...]     # a tuple, so no caller can write into it
@@ -319,11 +292,10 @@ class _Priced:
     blurred: int | None          # see _blurred_node
 
 
-def _priced(network: Network, probe: "_Probe") -> _Priced:
-    """The :class:`_Priced` of ``probe`` from the masks and rates its price pass kept."""
-    sink, band, priced_out, beta = probe.price_pass
-    partition = _roles(network, sink, band, priced_out)
-    surplus, deficit = _transfer_totals(network, partition, beta)
+def _priced(network: Network, answer: "_Pass") -> _Priced:
+    """The :class:`_Priced` of the pass ``answer`` from the rates and roles it gave."""
+    beta, partition = answer.rates, NodePartition.from_codes(answer.codes)
+    surplus, deficit = _transfer_totals(network, answer.codes, beta)
     return _Priced(
         partition=partition,
         rates=tuple(beta.tolist()),
@@ -331,24 +303,21 @@ def _priced(network: Network, probe: "_Probe") -> _Priced:
         mass_balance=abs(float(beta.sum()) - network.total_arrival_rate),
         surplus=surplus,
         deficit=deficit,
-        blurred=_blurred_node(network, partition, beta),
+        blurred=_blurred_node(network, answer.codes, beta),
     )
 
 
 class _Memo:
     """What the solver derives from one node state, kept there for every network on those nodes.
 
-    On fixed nodes the common price ``alpha`` depends on the comm price c
-    alone, so everything kept past the node-only part is keyed by one c:
-
-    * the node-only half of the no-transfer candidate: the keep-local
+    * The no-transfer candidate's node-only half: the keep-local
       ``allocation``, its all-neutral ``partition``, ``first_sink`` (the
-      smallest f_i(phi_i)), ``widest`` (the largest f_i(phi_i) of a node
-      with arrivals, -inf without one) and ``local_sum``, the node-term
-      sum of the arrivals;
-    * the last inner price search, ``alpha`` at ``comm_price``;
-    * ``priced``, the :class:`_Priced` of the last returned probe when it
-      was at ``comm_price``, else None.
+      smallest f_i(phi_i)), ``widest`` (the largest f_i(phi_i) of a loaded
+      node, -inf without one) and ``local_sum``, the arrivals' node terms.
+    * The last breakpoint search, ``alpha`` at ``comm_price``: on fixed nodes
+      alpha is a function of the comm price c alone.
+    * ``priced``: the :class:`_Priced` of an answer priced at that search's
+      ``alpha`` and ``comm_price``, else None.
     """
 
     def __init__(self, network: Network):
@@ -375,16 +344,13 @@ def _memo(network: Network) -> _Memo:
     return state.solver_memo
 
 
-def _no_transfer_solution(network: Network, iterations: int,
-                          interior_objective: float | None) -> OptimalSolution:
+def _no_transfer_solution(network: Network, iterations: int, interior_objective: float | None) -> OptimalSolution:
     """The exact keep-everything-local assignment, as a solution value.
 
-    ``alpha`` is presented as the smallest marginal delay at arrivals (a
-    valid price whenever the neutral band is wide enough to hold every
-    node).  When it is not — the interconnect's fixed cost is what makes
-    staying local optimal — the solution is flagged so verification knows
-    the price band does not certify it.  Only the comm price and that band
-    test are computed per call.
+    ``alpha`` is the smallest marginal delay at arrivals, a valid price
+    whenever the neutral band holds every node.  When it does not (the
+    interconnect's fixed cost is what makes staying local optimal), the
+    solution is flagged: the price band does not certify it.
     """
     memo = _memo(network)
     comm_price = network.total_arrival_rate * network.comm.delay_derivative(0.0)
@@ -402,166 +368,202 @@ def _no_transfer_solution(network: Network, iterations: int,
 
 
 @dataclass(frozen=True)
-class _Probe:
-    """One outer probe: the assumed traffic, its prices and the traffic they imply.
+class _Pass:
+    """One outer pass: the traffic it assumed, its prices, the traffic they imply, its rates and roles.
 
-    ``price_pass`` holds what :func:`_price_pass` returned at the prices, or
-    None when the memo's ``priced`` was at them and no pass ran.
+    ``alpha`` is the breakpoint search's, or that of the roles the pass was
+    priced for (:func:`_traffic_root`), and then the pass is ``balanced`` only
+    if it returned them.  ``rates`` and ``codes`` are None on a memo hit.
     """
 
     traffic: float
     comm_price: float
     alpha: float
     implied: float
-    price_pass: tuple | None = field(repr=False, compare=False)
+    balanced: bool
+    rates: np.ndarray | None = field(repr=False, compare=False)
+    codes: np.ndarray | None = field(repr=False, compare=False)
 
     @property
     def gap(self) -> float:
         return self.implied - self.traffic
 
 
-def _traffic_search(probe, start: _Probe, cap: float, floor: float,
-                    max_probes: int) -> tuple[list[_Probe], str]:
-    """Illinois (regula falsi) on the decreasing gap ``implied(lambda) - lambda`` over [0, cap].
+def _traffic_root(network: Network, codes: np.ndarray, start: float) -> tuple[float, float] | None:
+    """The traffic at which the roles ``codes`` are self-consistent and its ``alpha``, or None.
 
-    ``start`` is the probe at zero traffic, with a positive gap.  The cap is
-    probed next: a nonnegative gap there makes the cap the answer.
-    Otherwise the bracket shrinks until the gap or the bracket is at most
-    ``floor``, or ``max_probes`` probes have run.  Returns every probe in
-    order and why the search stopped.
+    Sinks run at beta = mu - sqrt(mu / alpha) and active sources at
+    mu - sqrt(mu / (alpha + c)), so sink surplus = lambda gives
+    sqrt(alpha) = S1 / (K1 - lambda) and source deficit = lambda gives
+    sqrt(alpha + c) = S2 / (lambda - K2): S1 (S2) sums sqrt(mu) over sinks
+    (active sources), K1 sums mu - phi over sinks, and K2 phi - mu over active
+    sources plus the idle sources' arrivals.  With c = Phi G'(lambda), lambda
+    is the root of g = (S2 / (lambda - K2))**2 - (S1 / (K1 - lambda))**2 - c on
+    (max(K2, 0), min(K1, max_rate)), unique as every term falls with lambda,
+    and K2 without active sources.  Newton steps from ``start`` (the comm
+    term's slope by secant), bisecting where they would leave the bracket,
+    stop where float64 stops them.
     """
-    probes = [start]
-    cap_reason = f"it reached the probe cap max_outer={max_probes}"
-    if max_probes < 2:
-        return probes, cap_reason
-    probes.append(probe(cap))
-    if probes[-1].gap >= 0.0:
-        return probes, "the fixed point is the traffic ceiling"
-    lo, g_lo, hi, g_hi = start.traffic, start.gap, cap, probes[-1].gap
-    moved = 0  # which end the last probe replaced: +1 low, -1 high
-    while True:
-        if abs(probes[-1].gap) <= floor:
-            return probes, "the gap settled"
-        if hi - lo <= floor:
-            return probes, f"the bracket collapsed to width {hi - lo:.3g}"
-        if len(probes) >= max_probes:
-            return probes, cap_reason
-        x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        probes.append(probe(x))
-        gap = probes[-1].gap
-        if gap > 0.0:
-            lo, g_lo = x, gap
-            if moved > 0:  # the high end is kept twice running: halve its gap
-                g_hi *= 0.5
-            moved = 1
-        else:
-            hi, g_hi = x, gap
-            if moved < 0:
-                g_lo *= 0.5
-            moved = -1
+    mu, phi, comm, phi_total = network.service_rates, network.arrival_rates, network.comm, network.total_arrival_rate
+    sink, active = codes == SINK_CODE, codes == ACTIVE_CODE
+    s1, k1, s2 = float(np.sqrt(mu[sink]).sum()), float((mu - phi)[sink].sum()), float(np.sqrt(mu[active]).sum())
+    k2 = float((phi - mu)[active].sum() + phi[codes == IDLE_CODE].sum())
+    lo, hi = max(k2, 0.0), min(k1, comm.max_rate)
+    if s1 == 0.0 or not lo < hi or (s2 > 0.0 > k2 and (s2 / k2) ** 2 - (s1 / k1) ** 2
+                                    <= phi_total * comm.delay_derivative(0.0)):
+        return None  # no sink, an empty segment, or g(0) <= 0
+    if s2 == 0.0:  # the idle sources ship exactly K2
+        return k2, (s1 / (k1 - k2)) ** 2
+    lam = start if lo < start < hi else 0.5 * (lo + hi)
+    before = None  # the last iterate and its comm price, for the secant slope
+    for _ in range(200):
+        up, down = (s2 / (lam - k2)) ** 2, (s1 / (k1 - lam)) ** 2
+        price = phi_total * comm.delay_derivative(lam)
+        g = up - down - price
+        if g == 0.0:
+            break
+        lo, hi = (lam, hi) if g > 0.0 else (lo, lam)
+        slope = -2.0 * up / (lam - k2) - 2.0 * down / (k1 - lam)
+        if before is not None:
+            slope -= (price - before[1]) / (lam - before[0])
+        before, step = (lam, price), lam - g / slope
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step == lam or not lo < step < hi:  # the root is resolved to adjacent floats
+            break
+        lam = step
+    return lam, (s1 / (k1 - lam)) ** 2
+
+
+def _settle_traffic(network: Network, passes: list[_Pass], priced_at, exact_at, max_passes: int,
+                    lam_tol: float) -> str:
+    """Append passes to ``passes``, which holds the exact pass at zero traffic, and say why they stopped.
+
+    Each pass's roles give the next traffic and ``alpha`` (:func:`_traffic_root`)
+    for ``priced_at``.  A pass that returns the roles it was priced for is the
+    answer once its gap is within ``lam_tol``; only the rounding of its sinks'
+    rates can leave it wider, and then the next pass keeps its ``alpha``, so its
+    surplus, and prices the comm at that surplus.  Exact passes (``exact_at``)
+    bracket the fixed point, as their gap falls while the traffic grows: a root
+    outside it, roles without one or roles seen before cost one at its midpoint.
+    """
+    comm, phi_total = network.comm, network.total_arrival_rate
+    lo, hi = 0.0, min(phi_total, comm.max_rate)
+    seen = {passes[0].codes.tobytes()}
+    settled = False  # whether the last pass returned the roles it was priced for
+    while len(passes) < max_passes:
+        last = passes[-1]
+        segment = (last.implied, last.alpha) if settled else _traffic_root(network, last.codes, last.traffic)
+        if segment is not None and (settled or lo <= segment[0] <= hi) and segment[0] < comm.max_rate:
+            lam, alpha = segment
+            passes.append(priced_at(lam, alpha, phi_total * comm.delay_derivative(lam), last.codes))
+            settled = passes[-1].balanced
+            if settled and abs(passes[-1].gap) <= lam_tol:
+                return "a pass returned the roles it was priced for"
+            key = passes[-1].codes.tobytes()
+            if settled or key not in seen:
+                seen.add(key)
+                continue
+            if len(passes) >= max_passes:
+                break
+        settled, mid = False, 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return f"the bracket on the traffic collapsed to [{lo!r}, {hi!r}]"
+        passes.append(exact_at(mid))
+        seen.add(passes[-1].codes.tobytes())
+        lo, hi = (mid, hi) if passes[-1].gap > 0.0 else (lo, mid)
+        if abs(passes[-1].gap) <= lam_tol:
+            return "the gap settled"
+    return f"it reached the pass cap max_outer={max_passes}"
 
 
 def solve(network: Network, config: SolverConfig | None = None) -> OptimalSolution:
-    """Optimal static allocation for ``network``; ``config`` only caps the outer probes.
+    """Optimal static allocation for ``network``; ``config`` only caps the outer passes.
 
-    Outer search: the surcharge depends on the transfer traffic, so the
-    traffic must solve the self-consistency equation
-    ``implied_traffic(lambda) = lambda``.  The gap is positive at zero and
-    decreasing up to the traffic ceiling (total arrivals, or just under
-    the interconnect's saturation rate, where the surcharge explodes), so
-    a bracketing search pins it without any contraction assumption — plain
-    damped iteration can limit-cycle on steeply loaded channels.  The
-    search is Illinois regula falsi, which converges superlinearly; models
-    whose delay derivative does not vary with load need a single probe.
-    Inner search: each probe finds ``alpha`` exactly by sorting the role
-    breakpoints (:func:`_find_alpha`) and reads its implied traffic from
-    one array pass, whose masks it keeps.  Roles are built once, from the
-    masks of the probe returned, and what that probe priced is kept in the
-    node state's :class:`_Memo`, so the next solve on these nodes at the
-    same prices runs no pass at all.  The interior
-    candidate is compared against the exact no-transfer assignment because
-    the objective may be discontinuous at zero traffic.
+    The first pass prices zero traffic exactly: the breakpoint search
+    (:func:`_find_alpha`) at c0 = Phi G'(0), then one array pass
+    (:func:`_price_pass`).  Models whose delay derivative does not vary with
+    load stop there.  Otherwise each pass's roles give both prices in closed
+    form until a pass returns the roles it was priced for
+    (:func:`_settle_traffic`).  An answer priced at an exact search's price
+    is kept in the node state's :class:`_Memo`, so the next solve on these
+    nodes at that price runs no pass.  The interior candidate is compared
+    against the exact no-transfer assignment, as the objective may be
+    discontinuous at zero traffic.
 
-    The traffic search stops once the gap or its bracket is within the
-    rounding noise of the implied-traffic sum, about eps * sum(mu), and the
-    answer must leave a gap of at most 1e-9 * Phi, or the solve raises
-    :class:`ConvergenceError`.
+    The returned traffic, the answer's sink surplus, must be within 1e-9 * Phi
+    of the traffic its prices assumed, or the solve raises
+    :class:`ConvergenceError`, as when ``max_outer`` passes did not settle.
     """
-    cfg = config or SolverConfig()
     phi_total = network.total_arrival_rate
     if phi_total == 0:
         return _no_transfer_solution(network, iterations=0, interior_objective=None)
     lam_tol = 1e-9 * phi_total
-    comm = network.comm
-    lam_cap = min(phi_total, comm.max_rate * (1.0 - 1e-9))  # Phi for an unbounded model
-    phi = network.arrival_rates
+    comm, phi = network.comm, network.arrival_rates
 
-    memo = _memo(network)
-    kept, kept_price = memo.priced, memo.comm_price
+    def priced_at(traffic: float, alpha: float, comm_price: float, assumed: np.ndarray | None = None) -> _Pass:
+        sink, band, priced_out, beta = _price_pass(network, alpha, comm_price)
+        surplus = float((beta - phi)[sink].sum())
+        codes = _roles(network, sink, band, priced_out)
+        log.debug("outer: traffic %.6g -> price %.6g, alpha %.6g, implied %.6g", traffic, comm_price, alpha, surplus)
+        return _Pass(traffic, comm_price, alpha, surplus, assumed is None or np.array_equal(codes, assumed),
+                      beta, codes)
 
-    def probe(traffic: float) -> _Probe:
+    def exact_at(traffic: float) -> _Pass:
         comm_price = phi_total * comm.delay_derivative(traffic)
-        alpha = _find_alpha(network, comm_price)
-        if kept is not None and kept_price == comm_price:
-            surplus, price_pass = kept.surplus, None
-        else:
-            price_pass = _price_pass(network, alpha, comm_price)
-            sink, _, _, beta = price_pass
-            surplus = float((beta - phi)[sink].sum())
-        implied = min(surplus, lam_cap)
-        log.debug("outer: traffic %.6g -> price %.6g, alpha %.6g, implied %.6g",
-                  traffic, comm_price, alpha, implied)
-        return _Probe(traffic, comm_price, alpha, implied, price_pass)
+        return priced_at(traffic, _find_alpha(network, comm_price), comm_price)
 
-    # each sink's rate is rounded to about eps * mu and the implied traffic sums them
-    noise = 4.0 * np.finfo(float).eps * float(network.service_rates.sum())
-    probes, stopped = [probe(0.0)], None
-    if not comm.derivative_is_constant and probes[0].implied > 0.0:
-        # a floor above the gate would stop the search on a gap the gate then refuses
-        floor = min(noise, lam_tol)
-        probes, stopped = _traffic_search(probe, probes[0], lam_cap, floor, cfg.max_outer)
-    best = min(probes, key=lambda p: abs(p.gap))
+    comm_price = phi_total * comm.delay_derivative(0.0)
+    alpha = _find_alpha(network, comm_price)
+    memo = _memo(network)
+    kept = memo.priced  # a search that ran just now cleared it, so it is at this price
+    moves = not comm.derivative_is_constant
+    stopped = None
+    if kept is not None and not (moves and kept.surplus > 0.0):
+        passes = [_Pass(0.0, comm_price, alpha, kept.surplus, True, None, None)]
+    else:
+        passes = [priced_at(0.0, alpha, comm_price)]
+        if moves and passes[0].implied > 0.0:
+            max_passes = (config or SolverConfig()).max_outer
+            stopped = _settle_traffic(network, passes, priced_at, exact_at, max_passes, lam_tol)
+    best = min((p for p in passes if p.balanced), key=lambda p: abs(p.gap))
 
-    priced = kept if best.price_pass is None else _priced(network, best)
-    memo.comm_price, memo.alpha, memo.priced = best.comm_price, best.alpha, priced
+    priced = kept if best.rates is None else _priced(network, best)
+    if (best.comm_price, best.alpha) == (memo.comm_price, memo.alpha):  # an exact search priced it
+        memo.priced = priced
     lam = best.implied
     if lam < 0:
         raise ConvergenceError(f"a sink's rate rounded below its arrivals, so the implied transfer "
                                f"traffic is negative ({lam!r})")
     interior = OptimalSolution(
-        allocation=Allocation(rates=priced.rates, transfer_rate=lam),
-        partition=priced.partition,
-        alpha=best.alpha,
-        comm_price=best.comm_price,
-        objective=float(priced.node_sum + comm_term(network, lam)),
-        iterations=len(probes),
-        residuals=SolutionResiduals(
-            mass_balance=priced.mass_balance,
-            sink_surplus_gap=abs(lam - priced.surplus),
-            source_deficit_gap=abs(lam - priced.deficit),
-            lambda_step=abs(best.gap),
-        ),
-        no_transfer_override=False,
-        interior_objective=None,
-    )
+        allocation=Allocation(rates=priced.rates, transfer_rate=lam), partition=priced.partition,
+        alpha=best.alpha, comm_price=best.comm_price, objective=float(priced.node_sum + comm_term(network, lam)),
+        iterations=len(passes),
+        residuals=SolutionResiduals(mass_balance=priced.mass_balance, sink_surplus_gap=abs(lam - priced.surplus),
+                                    source_deficit_gap=abs(lam - priced.deficit), lambda_step=abs(best.gap)))
     if stopped is not None and abs(best.gap) > lam_tol:
-        searched = f"the search stopped after {len(probes)} probes because {stopped}"
+        noise = 4.0 * np.finfo(float).eps * float(network.service_rates.sum())  # of the sinks' rates' sum
+        searched = f"the search stopped after pass {len(passes)} because {stopped}"
         if abs(best.gap) <= noise:
             why = (f"cannot be settled in float64: the best gap {best.gap:.3g} is within the rounding "
                    f"noise of the implied traffic, 4*eps*sum(mu) = {noise:.3g}, which exceeds the "
                    f"settle gate 1e-9*Phi = {lam_tol:.3g} ({searched})")
         else:
-            why = (f"did not settle: {searched}; last gap {probes[-1].gap:.3g}, best gap {best.gap:.3g}, "
+            why = (f"did not settle: {searched}; last gap {passes[-1].gap:.3g}, best gap {best.gap:.3g}, "
                    f"tolerance {lam_tol:.3g}")
         raise ConvergenceError(f"transfer traffic fixed point {why}", best=interior)
 
-    no_transfer = _no_transfer_solution(network, len(probes), interior_objective=interior.objective)
+    no_transfer = _no_transfer_solution(network, len(passes), interior_objective=interior.objective)
     # a no-transfer answer whose objective is inf certifies nothing, so then the interior is the answer
     if interior.allocation.transfer_rate > 0 and (interior.objective < no_transfer.objective
                                                   or no_transfer.objective == np.inf):
-        _check_price_resolution(network, interior, priced.blurred)
+        if priced.blurred is not None:
+            mu = network.service_rates[priced.blurred]
+            raise ConvergenceError(
+                f"no finite alpha certifies the load: node {network.nodes[priced.blurred].id!r} would run "
+                f"{mu - priced.rates[priced.blurred]:.3g} below its capacity {mu:.6g}, where rounding blurs "
+                f"its marginal delay by more than 1e-8; total arrivals are within rounding of the capacity "
+                f"that can absorb them", best=interior)
         return interior
     if no_transfer.no_transfer_override and interior.allocation.transfer_rate == 0:
         # interior converged to no transfers on its own; the band must hold
@@ -573,13 +575,11 @@ def solve(network: Network, config: SolverConfig | None = None) -> OptimalSoluti
 class KktReport:
     """Worst residual per optimality condition, all relative.
 
-    For no-transfer solutions justified by the fixed-cost comparison
-    (``no_transfer_override``), the neutral band's upper edge does not
-    apply — the effective surcharge for the first transferred unit is
-    unbounded — so the certificate is the recorded objective comparison
-    instead, reported in ``override_margin`` (how much the returned
-    objective beats the interior candidate by; nonnegative is good, and
-    an override whose own objective is inf gets -inf).
+    A no-transfer answer justified by the fixed-cost comparison
+    (``no_transfer_override``) is not bound by the neutral band's upper edge,
+    as the first transferred unit's surcharge is unbounded; its certificate
+    is ``override_margin``, how much it beats the interior candidate by
+    (nonnegative is good; an override whose own objective is inf gets -inf).
     """
 
     sink_price: float
@@ -648,7 +648,7 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
         default=False)))
 
     mass_res = abs(float(beta.sum()) - phi_total) / scale
-    surplus, deficit = _transfer_totals(network, solution.partition, beta)
+    surplus, deficit = _transfer_totals(network, codes, beta)
     transfer_res = max(abs(lam - surplus), abs(lam - deficit)) / scale
     price_res = abs(comm_price - phi_total * network.comm.delay_derivative(lam)) / max(comm_price, 1.0)
 

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import loadbal as lb
 import loadbal.config
+from loadbal import cli
 from loadbal.cli import main
 
 
@@ -141,7 +143,7 @@ class TestSolve:
                 {"id": "b", "arrival_rate": 0.0, "service_rate": 4.0},
             ],
             "comm": {"model": "mm1_channel", "params": {"t": 0.02, "capacity": 2.0}},
-            "solver": {"max_outer": 2},
+            "solver": {"max_outer": 1},  # the second pass would settle it
         })
         assert main(["solve", path]) == 3
         assert "best iterate" in capsys.readouterr().err
@@ -217,6 +219,45 @@ class TestOracleAndCheck:
         assert captured.out == stdout
         assert ("note: the solver's objective is 6.346e-02 below the oracle's; the grid is too coarse "
                 "to confirm optimality at 1e-5, so raise --grid or --refine\n") == captured.err
+
+    def test_check_fails_on_kkt(self, asym_config, capsys, monkeypatch):
+        # the oracle cannot tell this allocation from the optimum, but its prices do not hold
+        solve = cli.solve
+
+        def perturbed(network, config):
+            solution = solve(network, config)
+            rates = (0.75 - 1e-3, 0.75 + 1e-3)
+            return dataclasses.replace(solution, allocation=lb.Allocation(rates=rates, transfer_rate=0.751))
+
+        monkeypatch.setattr(cli, "solve", perturbed)
+        assert main(["check", asym_config, "--grid", "101", "--refine", "6"]) == 1
+        captured = capsys.readouterr()
+        assert "check passed" not in captured.out
+        assert "check FAILED: the solution's worst optimality residual" in captured.err
+
+    def test_channel_infeasible_exits_2(self, tmp_path, capsys):
+        # repro A: node b must ship more than the channel can carry
+        data = {
+            "nodes": [
+                {"id": "a", "arrival_rate": 0.0, "service_rate": 9.07381114},
+                {"id": "b", "arrival_rate": 2.50872161, "service_rate": 3.98069110e-7},
+                {"id": "c", "arrival_rate": 0.0, "service_rate": 3.17796365e-5},
+            ],
+            "comm": {"model": "mm1_channel", "params": {"t": 0.06916726420273384, "capacity": 1.2618455189934136}},
+        }
+        path = write_config(tmp_path / "reproA.json", data)
+        for command in ("solve", "check"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert "unstable network: nodes 'b' must ship more than lambda_min = 2.5087212119308897" in captured.err
+            assert captured.out == ""
+        data["comm"]["params"]["capacity"] = 4.0
+        path = write_config(tmp_path / "reproA-wide.json", data)
+        assert main(["sweep", path, "--param", "comm.params.capacity", "--from", "1.2618455189934136",
+                     "--to", "4.0", "--steps", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "1.2618455189934137,nan,nan,nan,unstable"
+        assert [row.endswith('"S,I,N"') for row in rows[2:]] == [True, True]
 
     def test_fine_grid_no_note(self, asym_config, capsys):
         assert main(["check", asym_config, "--grid", "101", "--refine", "6"]) == 0

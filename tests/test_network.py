@@ -40,6 +40,31 @@ class TestConstruction:
             assert not getattr(twin, name).flags.writeable
         assert twin.total_arrival_rate == net.total_arrival_rate
 
+    @pytest.mark.parametrize("phi, mu, comm, names, lam_min", [
+        # repro A: b must ship 2.5087 but the channel saturates at 1.2618
+        ([0.0, 2.50872161, 0.0], [9.07381114, 3.98069110e-7, 3.17796365e-5],
+         lb.MM1ChannelCommDelay(0.06916726420273384, 1.2618455189934136), "'n1'", 2.5087212119308897),
+        # repro B: a must ship 1.5 through a channel of capacity 1.2
+        ([2.5, 0.0], [1.0, 9.0], lb.MM1ChannelCommDelay(0.05, 1.2), "'n0'", 1.5),
+        # the capacity equal to lambda_min is rejected as well: the overload must ship more than it
+        ([3.0, 2.0, 0.0], [2.0, 1.0, 9.0], lb.MM1ChannelCommDelay(0.05, 2.0), "'n0', 'n1'", 2.0),
+        ([2.0] * 7 + [0.0], [1.0] * 7 + [100.0], lb.MM1ChannelCommDelay(0.05, 7.0),
+         "'n0', 'n1', 'n2', 'n3', 'n4' and 2 more", 7.0),
+    ], ids=["reproA", "reproB", "at-capacity", "many"])
+    def test_rejects_channel_infeasible(self, phi, mu, comm, names, lam_min):
+        message = (f"unstable network: nodes {names} must ship more than lambda_min = {lam_min!r} in total, "
+                   f"their arrivals beyond their service rates, but the interconnect saturates at "
+                   f"max_rate = {comm.max_rate!r}")
+        with pytest.raises(lb.UnstableNetworkError) as info:
+            make_network(phi, mu, comm)
+        assert str(info.value) == message
+        net = make_network(phi, mu, lb.MM1ChannelCommDelay(0.05, 2.0 * lam_min))
+        assert net._node_state.min_traffic == lam_min
+        with pytest.raises(lb.UnstableNetworkError) as info:
+            net.with_comm(comm)
+        assert str(info.value) == message
+        assert lb.verify_optimality(net, lb.solve(net)).passed()  # the network itself stays usable
+
     def test_flow_matrix_validation(self):
         with pytest.raises(ValueError):
             lb.FlowMatrix([[0.0, -0.1], [0.0, 0.0]])
