@@ -610,7 +610,9 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     """Check the price conditions and flow identities of a solution.
 
     Relative residuals: price gaps are normalized by the price they are
-    measured against, flow identities by the total arrival rate.
+    measured against, flow identities by the total arrival rate (by 1 for
+    a network without arrivals), so a verdict does not change when every
+    rate is scaled.
     """
     alpha = solution.alpha
     comm_price = solution.comm_price
@@ -618,7 +620,7 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     beta = np.asarray(solution.allocation.rates)
     lam = solution.allocation.transfer_rate
     phi_total = network.total_arrival_rate
-    scale = max(phi_total, 1.0)
+    scale = phi_total if phi_total > 0 else 1.0
 
     phi = network.arrival_rates
     codes = solution.partition.codes

@@ -167,24 +167,24 @@ class TestConfigValidation:
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
-# Exact reports of every policy on one n=5 network, recorded before the routers shared
-# one score protocol.  Nodes 2 and 3 are identical idle nodes, so SQ and MED ties between
+# Exact reports of every policy on one n=5 network, recorded when every job's draws moved
+# up front (one merged arrival stream; origin, routing uniform and work per job).  Nodes 2 and 3 are identical idle nodes, so SQ and MED ties between
 # them pin lowest-index tie-breaking; the flow and thresholds are fixed so that only the
 # simulator is under test.
 GOLDEN_FLOW = [[0.0, 0.0, 0.78, 0.0, 0.0], [0.0, 0.0, 0.14, 0.62, 0.0], [0.0] * 5, [0.0] * 5,
                [0.0, 0.0, 0.0, 0.3, 0.0]]
 GOLDEN_THRESHOLDS = (0.7, 0.8)
 GOLDEN_REPORTS = {
-    (31, "static_optimal"): lb.SimReport(mean_response_time=0.63283974618048, utilization=(0.20235937733149698, 0.09504987007987706, 0.3196009637858845, 0.3153496622332772, 0.0), transfer_count=2765, ci_halfwidth=0.02382717356839842),
-    (31, "no_balancing"): lb.SimReport(mean_response_time=1.3756373484246334, utilization=(0.5788971481475812, 0.5911742133943679, 0.0, 0.0, 0.2973129909331047), transfer_count=0, ci_halfwidth=0.15500459246909692),
-    (31, "sq"): lb.SimReport(mean_response_time=0.6354368476673321, utilization=(1.6831453994190168e-05, 1.2827582247411915e-05, 4.6491685395176165e-06, 1.2242077800681147e-06, 5.207377871282749e-07), transfer_count=2362, ci_halfwidth=0.014732687372939037),
-    (31, "med"): lb.SimReport(mean_response_time=0.5477138622122397, utilization=(3.4942487778488805e-06, 1.6547948816861642e-06, 1.3743308513724894e-05, 7.439242953050754e-06, 0.0), transfer_count=3383, ci_halfwidth=0.02457727221516579),
-    (31, "dynamic_threshold"): lb.SimReport(mean_response_time=0.5690705223882656, utilization=(1.2216487865110399e-05, 1.1814858257684981e-05, 7.71744975635615e-06, 2.679326374086879e-06, 8.093691467484197e-08), transfer_count=1640, ci_halfwidth=0.01912946869285947),
-    (32, "static_optimal"): lb.SimReport(mean_response_time=0.6059091834071403, utilization=(0.20586441934726293, 0.10589112546601538, 0.30487190370116524, 0.30529367844762145, 0.0), transfer_count=2742, ci_halfwidth=0.029120151456806086),
-    (32, "no_balancing"): lb.SimReport(mean_response_time=1.4785014047262803, utilization=(0.6334367965881545, 0.6038138876166972, 0.0, 0.0, 0.3022408591225524), transfer_count=0, ci_halfwidth=0.16711294461254317),
-    (32, "sq"): lb.SimReport(mean_response_time=0.6557388573852371, utilization=(1.6502416360189617e-05, 1.287493596616172e-05, 4.743594391747329e-06, 1.592600591033731e-06, 9.59721036316164e-07), transfer_count=2405, ci_halfwidth=0.01736436794426913),
-    (32, "med"): lb.SimReport(mean_response_time=0.5434185690745718, utilization=(0.1154980892671403, 0.04380900321407182, 0.4462003990832367, 0.25221351065361264, 0.0), transfer_count=3388, ci_halfwidth=0.020118368494074806),
-    (32, "dynamic_threshold"): lb.SimReport(mean_response_time=0.5684031387457414, utilization=(0.3982007586685654, 0.4011290691073839, 0.2588598258669445, 0.09236019545431803, 0.005662107197193186), transfer_count=1651, ci_halfwidth=0.0199264372868278),
+    (31, "static_optimal"): lb.SimReport(mean_response_time=0.612245091154395, utilization=(0.2039464256450335, 0.10948427453853063, 0.31096894715626905, 0.30654081020446816, 0.0), transfer_count=2763, ci_halfwidth=0.030578434113768052),
+    (31, "no_balancing"): lb.SimReport(mean_response_time=1.395389829290078, utilization=(0.5999976712326247, 0.6228590566154516, 0.0, 0.0, 0.2905088216124057), transfer_count=0, ci_halfwidth=0.2014077384728079),
+    (31, "sq"): lb.SimReport(mean_response_time=0.6407791827873651, utilization=(0.5480441526193325, 0.43723611358286585, 0.16057541627309677, 0.0541405183661425, 0.028613487084989245), transfer_count=2377, ci_halfwidth=0.027900014830567973),
+    (31, "med"): lb.SimReport(mean_response_time=0.5518748680414023, utilization=(0.1211707598200192, 0.04762168769286299, 0.4503255962549681, 0.25314993049928336, 0.0), transfer_count=3366, ci_halfwidth=0.02367326936420015),
+    (31, "dynamic_threshold"): lb.SimReport(mean_response_time=0.5665791694855002, utilization=(0.3867059770064737, 0.4014999205870597, 0.25565200944398153, 0.09278894219113665, 0.0035626961584099936), transfer_count=1595, ci_halfwidth=0.026095946772625597),
+    (32, "static_optimal"): lb.SimReport(mean_response_time=0.6294293943854186, utilization=(0.2275015113572616, 0.08354051082448534, 0.3041064499481362, 0.31980655223994675, 0.0), transfer_count=2770, ci_halfwidth=0.03516674790067247),
+    (32, "no_balancing"): lb.SimReport(mean_response_time=1.5088637027344576, utilization=(0.6228252793238251, 0.611469716811042, 0.0, 0.0, 0.28868835607158805), transfer_count=0, ci_halfwidth=0.1858026376920825),
+    (32, "sq"): lb.SimReport(mean_response_time=0.6557669717320256, utilization=(0.565549106063645, 0.4410941108727193, 0.15950614972326022, 0.049879287231675666, 0.03055477755220908), transfer_count=2417, ci_halfwidth=0.022024860745298094),
+    (32, "med"): lb.SimReport(mean_response_time=0.5582336795807366, utilization=(3.866315102332459e-06, 1.4172589404310518e-06, 1.3577379354423062e-05, 7.49269653325297e-06, 0.0), transfer_count=3383, ci_halfwidth=0.018305692803810485),
+    (32, "dynamic_threshold"): lb.SimReport(mean_response_time=0.5748229730812637, utilization=(0.3870570001447812, 0.40077922903999585, 0.26493441540527624, 0.09245183063485798, 0.00399725514412027), transfer_count=1634, ci_halfwidth=0.018625058997268035),
 }
 
 
@@ -234,9 +234,8 @@ N40_THRESHOLDS = (0.5, 1.0)
 def golden_path_cases():
     """Engine paths the n=5 trace misses: a window from t=0, one job, one job
     per arriving node, and larger networks.  Each case is (id, network, cfg,
-    flow, thresholds); golden_sim.json holds each ``repr(SimReport)``.  The
-    n=5 and n=20 reports were recorded before the event loop was inlined into
-    one function, the n=40 ones before queue-state routers picked from a heap."""
+    flow, thresholds); golden_sim.json holds each ``repr(SimReport)``, recorded
+    when every job's draws moved up front."""
     net5, flow5 = golden_network(), lb.FlowMatrix(GOLDEN_FLOW)
     net20, flow20 = n20_network()
     net40, flow40 = n40_network()
@@ -280,13 +279,73 @@ def bench_sim_network(seed, n):
 
 @pytest.mark.parametrize("network", ["n40", "bench-n200"])
 def test_unreachable_threshold_is_no_balancing_at_scale(network):
-    # both sides draw their exponentials in blocks, so this pins that they share one stream
+    # the event loop against the recurrence, on the same jobs
     net = n40_network()[0] if network == "n40" else bench_sim_network(1, 200)
     low = lb.solve(net).alpha
     for seed in (1, 2, 3):
         dyn = lb.simulate_dynamic(net, (low, math.inf), lb.SimConfig(total_jobs=5000, seed=seed))
         idle = lb.simulate(net, lb.SimConfig(total_jobs=5000, seed=seed, policy=lb.Policy.NO_BALANCING))
         assert dyn == idle
+
+
+@pytest.mark.parametrize("network", ["n5", "n20", "n40", "bench-n200"])
+def test_recurrence_matches_event_loop(network):
+    """The static recurrence against the event loop routing the same jobs to the same
+    targets: bit-identical reports for the network's optimal flow, its golden flow if it
+    has one, and a zero flow."""
+    net, *flows = {"n5": lambda: (golden_network(), lb.FlowMatrix(GOLDEN_FLOW)), "n20": n20_network,
+                   "n40": n40_network, "bench-n200": lambda: (bench_sim_network(1, 200),)}[network]()
+    transfers = 0
+    for flow in (optimal_flow(net)[1], *flows, lb.FlowMatrix.zero(len(net))):
+        for seed in range(5):
+            for jobs, warmup in ((3000, 0.1), (3000, 0.0), (1, 0.1), (3, 0.1)):
+                cfg = lb.SimConfig(jobs, seed=seed, warmup_fraction=warmup)
+                # the engine draws the jobs again from the seed: the same jobs
+                router = sim._static_router(*sim._static_routes(net, flow, sim._draw_jobs(net, cfg)))
+                report = lb.simulate_static(net, flow, cfg)
+                assert report == sim._Engine(net, cfg, router).run(), (seed, jobs, warmup)
+                transfers += report.transfer_count
+    assert transfers > 0
+
+
+def test_jobs_are_drawn_up_front():
+    # one generator, four arrays in a fixed order: the merged stream's gaps at rate Phi,
+    # origins with weights phi_i / Phi, routing uniforms and service requirements
+    net = golden_network()
+    jobs = sim._draw_jobs(net, lb.SimConfig(total_jobs=500, seed=3))
+    rng = np.random.default_rng(3)
+    phi = net.arrival_rates
+    np.testing.assert_array_equal(jobs.arrival, np.cumsum(rng.standard_exponential(500) / phi.sum()))
+    np.testing.assert_array_equal(jobs.origin, np.searchsorted(np.cumsum(phi) / phi.sum(), rng.random(500), side="right"))
+    np.testing.assert_array_equal(jobs.uniform, rng.random(500))
+    np.testing.assert_array_equal(jobs.work, rng.standard_exponential(500))
+    assert set(jobs.origin.tolist()) == {0, 1, 4}  # nodes without arrivals are never an origin
+
+
+def test_report_statistics_match_the_plain_sums():
+    # numpy sums pairwise: within a few ulps of one sum per batch in departure order
+    rng = np.random.default_rng(4)
+    sojourns = rng.standard_exponential(2017).tolist()
+    comm = np.where(rng.random(2017) < 0.3, 0.05, 0.0).tolist()
+    report = sim._report([1.0], 2.0, sojourns, comm, 0)
+
+    def composite(s, c):
+        shipped = [x for x in c if x > 0]
+        return sum(s) / len(s) + (sum(shipped) / len(shipped) if shipped else 0.0)
+    per = len(sojourns) // 20
+    means = [composite(sojourns[b * per:(b + 1) * per], comm[b * per:(b + 1) * per]) for b in range(20)]
+    assert report.mean_response_time == pytest.approx(composite(sojourns, comm), rel=1e-13)
+    assert report.ci_halfwidth == pytest.approx(sim._T_CRIT_19 * float(np.std(means, ddof=1)) / math.sqrt(20), rel=1e-9)
+    assert report.utilization == (0.5,)
+
+
+@pytest.mark.parametrize("policy", list(lb.Policy))
+def test_network_without_arrivals_has_no_jobs(policy):
+    net = make_network([0.0, 0.0], [1.0, 2.0])
+    cfg = lb.SimConfig(total_jobs=10, seed=1, policy=policy)
+    report = lb.simulate(net, cfg, flow=lb.FlowMatrix.zero(2), thresholds=(0.5, 1.0))
+    assert report == lb.SimReport(mean_response_time=0.0, utilization=(0.0, 0.0), transfer_count=0,
+                                  ci_halfwidth=math.inf)
 
 
 def old_threshold_pick(scores, i, low, high):

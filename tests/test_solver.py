@@ -242,6 +242,20 @@ class TestVerifyOptimality:
         assert report.override_margin == -np.inf
         assert not report.passed()
 
+    @pytest.mark.parametrize("k", [0, -20])
+    def test_flow_identities_scale_with_total_arrivals(self, k):
+        # rates times 4**k and times over 4**k: traffic off by 1e-3 of the total arrivals must
+        # fail at every scale, not only once the total reaches 1
+        scale = 4.0 ** k
+        net = make_network([1.5 * scale, 0.0], [4.0 * scale, 4.0 * scale], lb.ConstantCommDelay(0.05 / scale))
+        solution = lb.solve(net)
+        assert lb.verify_optimality(net, solution).passed()
+        allocation = dataclasses.replace(
+            solution.allocation, transfer_rate=solution.allocation.transfer_rate + 1e-3 * net.total_arrival_rate)
+        report = lb.verify_optimality(net, dataclasses.replace(solution, allocation=allocation))
+        assert report.transfer_identity == pytest.approx(1e-3, rel=1e-6)
+        assert not report.passed()
+
 
 def bisect_alpha(net, comm_price, steps=200):
     """Reference for the price search: bisection on the residual's sign, to the last float."""
@@ -725,6 +739,7 @@ class TestTrafficSearch:
                 continue
             other = lb.solve(scaled)
             answers += 1
+            assert lb.verify_optimality(scaled, other).passed() == lb.verify_optimality(net, solution).passed()
             assert other.partition == solution.partition
             assert other.no_transfer_override == solution.no_transfer_override
             for ours, theirs in ((solution.alpha, other.alpha * scale),
