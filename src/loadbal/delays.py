@@ -130,7 +130,7 @@ class MM1NodeDelay:
 
 @dataclass(frozen=True)
 class ConstantCommDelay:
-    """Fixed per-transfer delay, independent of network load."""
+    """Fixed per-transfer delay, independent of network load: finite and >= 0."""
 
     transfer_time: float
 
@@ -138,8 +138,8 @@ class ConstantCommDelay:
     derivative_is_constant = True
 
     def __post_init__(self) -> None:
-        if self.transfer_time < 0:
-            raise ValueError(f"transfer_time must be >= 0, got {self.transfer_time}")
+        if not 0 <= self.transfer_time < INFINITE:
+            raise ValueError(f"transfer_time must be finite and >= 0, got {self.transfer_time}")
 
     @property
     def max_rate(self) -> float:
@@ -165,7 +165,8 @@ class MM1ChannelCommDelay:
     """Shared channel modeled as a single queue.
 
     ``transfer_time`` is the mean transfer time of an empty channel and
-    ``capacity`` its saturation rate: G(rate) = transfer_time / (1 - rate/capacity).
+    ``capacity`` its saturation rate, both finite and > 0:
+    G(rate) = transfer_time / (1 - rate/capacity).
     """
 
     transfer_time: float
@@ -174,10 +175,10 @@ class MM1ChannelCommDelay:
     derivative_is_constant = False
 
     def __post_init__(self) -> None:
-        if not self.transfer_time > 0:
-            raise ValueError(f"transfer_time must be > 0, got {self.transfer_time}")
-        if not self.capacity > 0:
-            raise ValueError(f"capacity must be > 0, got {self.capacity}")
+        if not 0 < self.transfer_time < INFINITE:
+            raise ValueError(f"transfer_time must be finite and > 0, got {self.transfer_time}")
+        if not 0 < self.capacity < INFINITE:
+            raise ValueError(f"capacity must be finite and > 0, got {self.capacity}")
 
     @property
     def max_rate(self) -> float:
@@ -203,7 +204,7 @@ class MM1ChannelCommDelay:
 
 @dataclass(frozen=True)
 class PolynomialCommDelay:
-    """G(rate) = sum_k coefficients[k] * rate**k with nonnegative coefficients.
+    """G(rate) = sum_k coefficients[k] * rate**k with finite, nonnegative coefficients.
 
     Nonnegative coefficients make G nonnegative, non-decreasing and convex
     on [0, inf).  Trailing zero coefficients are dropped so degree checks
@@ -214,8 +215,8 @@ class PolynomialCommDelay:
 
     def __post_init__(self) -> None:
         coeffs = tuple(float(c) for c in self.coefficients)
-        if any(c < 0 for c in coeffs):
-            raise ValueError(f"coefficients must be >= 0, got {coeffs}")
+        if not all(0 <= c < INFINITE for c in coeffs):
+            raise ValueError(f"coefficients must be finite and >= 0, got {coeffs}")
         while coeffs and coeffs[-1] == 0.0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

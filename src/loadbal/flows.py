@@ -73,7 +73,7 @@ def synthesize_flows(network: Network, partition: NodePartition, rates) -> FlowM
     bad = sorted(i for i, v in {**surplus, **deficit}.items() if v < -1e-12)
     if bad:
         raise ValueError(f"role/rate mismatch at nodes {bad}")
-    tol = 1e-9 * max(network.total_arrival_rate, 1.0)
+    tol = 1e-9 * (network.total_arrival_rate or 1.0)
     if abs(sum(surplus.values()) - sum(deficit.values())) > tol:
         raise ValueError(
             f"source surplus {sum(surplus.values())} != sink deficit {sum(deficit.values())}"

@@ -257,7 +257,7 @@ class Allocation:
         if np.any(beta >= network.service_rates):
             raise ValueError("some processing rate at or beyond its service rate")
         phi_total = network.total_arrival_rate
-        if abs(float(beta.sum()) - phi_total) > rtol * max(phi_total, 1.0):
+        if abs(float(beta.sum()) - phi_total) > rtol * (phi_total or 1.0):
             raise ValueError(f"processing rates sum to {beta.sum()}, expected {phi_total}")
         if self.transfer_rate < 0:
             raise ValueError(f"transfer_rate must be >= 0, got {self.transfer_rate}")
@@ -354,7 +354,7 @@ def check_feasibility(network: Network, flow: FlowMatrix) -> FeasibilityReport:
     """
     beta = processing_rates(network, flow)
     phi_total = network.total_arrival_rate
-    tol = 1e-9 * max(phi_total, 1.0)
+    tol = 1e-9 * (phi_total or 1.0)
     violations = []
     for i, b in enumerate(beta):
         if b < -tol:
@@ -451,7 +451,7 @@ def mean_response_time(network: Network, flow: FlowMatrix) -> float:
     """
     beta = processing_rates(network, flow)
     phi_total = network.total_arrival_rate
-    tol = 1e-9 * max(phi_total, 1.0)
+    tol = 1e-9 * (phi_total or 1.0)
     bad = np.flatnonzero(beta < -tol)
     if bad.size:
         raise InfeasibleFlowError(
@@ -488,7 +488,7 @@ def classify_roles(network: Network, flow: FlowMatrix) -> NodePartition:
         raise InfeasibleFlowError("; ".join(report.violations))
     inflow = flow.inflow()
     outflow = flow.outflow()
-    atol = 1e-12 * max(network.total_arrival_rate, 1.0)
+    atol = 1e-12 * (network.total_arrival_rate or 1.0)
     codes = net_transfer_roles(network.arrival_rates, outflow - inflow, 0.0, atol).codes
     return NodePartition.from_codes(np.where((inflow > 0) & (outflow > 0), RELAY_CODE, codes))
 

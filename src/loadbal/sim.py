@@ -17,9 +17,10 @@ later if shipped; and each node is then one FIFO queue in join order,
 D_k = max(J_k, D_{k-1}) + s_k (Lindley, 1952).  See ``_recurrence``.
 The queue-state and threshold policies route on the queues as they
 stand, so they run in one event loop, ``_Engine``, over the same jobs.
-The loop can also route a static flow's jobs to their precomputed
-targets; it is the recurrence's reference, and the two give the same
-report bit for bit.
+The two engines differ only in how they find each job's serving node,
+service start and departure; both hand those times to one ``_summary``,
+which builds the report.  Routed to the same targets at the same
+transfer delay, the two give the same report bit for bit.
 
 The reported ``mean_response_time`` is directly comparable to the
 analytic objective: mean node sojourn per completed job, plus the mean
@@ -154,17 +155,8 @@ def _static_routes(network: Network, flow: FlowMatrix, jobs: _Jobs) -> tuple[np.
     return target, comm
 
 
-def _static_router(target: np.ndarray, comm: float):
-    """Static routing in the event loop: each job goes to its precomputed target.
-
-    ``_recurrence`` runs the static policies; this router is its reference.
-    """
-    target = target.tolist()
-    return (lambda engine, i: target[engine.job]), None, lambda now, transfers: comm
-
-
 def _running_rate_delay(network: Network):
-    """Mean interconnect delay G at the run's empirical transfer rate.
+    """Mean interconnect delay G at the run's empirical transfer rate: the event loop's transfer price.
 
     The rate is (transfers + 1) / now, kept below saturation; G(0) before
     the clock moves.  Every rate is in range, so G skips the rate check.
@@ -221,11 +213,10 @@ def _queue_state_router(network: Network, expected_delay: bool):
     A job only moves (and pays communication delay) if the best node is not
     its origin.
     """
-    transfer_delay = _running_rate_delay(network)
     if not expected_delay:
-        return _route_to_min, lambda engine, j: len(engine.queues[j]), transfer_delay
+        return _route_to_min, lambda engine, j: len(engine.queues[j])
     mu = network.service_rates.tolist()
-    return _route_to_min, lambda engine, j: (len(engine.queues[j]) + 1) / mu[j], transfer_delay
+    return _route_to_min, lambda engine, j: (len(engine.queues[j]) + 1) / mu[j]
 
 
 def _threshold_router(network: Network, low: float, high: float):
@@ -256,52 +247,50 @@ def _threshold_router(network: Network, low: float, high: float):
         best = _best_other(engine, i)
         return best if engine.scores[best] < low else i
 
-    return route, score, _running_rate_delay(network)
+    return route, score
 
 
 class _Engine:
     """Event loop of the queue-state and threshold policies, over the run's jobs.
 
-    ``router`` is a ``(route, score, transfer_delay)`` triple.  The engine
-    recomputes ``scores[j] = score(engine, j)`` whenever a job joins or
-    leaves node j and pushes ``(scores[j], j)`` onto the heap ``ranked``;
-    ``route(engine, i)`` returns the serving node of job ``engine.job``
-    arriving at node i.  A queue-state router picks from the top of
-    ``ranked``: every node has an entry holding its current score, and an
-    entry whose score has since been rewritten is stale, so the least
-    current entry is the node of least score with ties going to the lowest
-    index, exactly ``scores.index(min(scores))``.  Picks drop stale entries
-    off the top; the heap is rebuilt from ``scores`` once it holds
-    ``_RERANK_PER_NODE`` entries per node.  Static routing
-    (``_static_router``, the reference for ``_recurrence``) has no score.
-    The engine ships a job routed away from its origin, prices it with
-    ``transfer_delay(now, transfers shipped so far)`` and counts it; no
-    router reads the clock or the count.
+    ``router`` is a ``(route, score)`` pair.  The engine recomputes
+    ``scores[j] = score(engine, j)`` whenever a job joins or leaves node j
+    and pushes ``(scores[j], j)`` onto the heap ``ranked``;
+    ``route(engine, i)`` returns the serving node of the job arriving at
+    node i.  A queue-state router picks from the top of ``ranked``: every
+    node has an entry holding its current score, and an entry whose score
+    has since been rewritten is stale, so the least current entry is the
+    node of least score with ties going to the lowest index, exactly
+    ``scores.index(min(scores))``.  Picks drop stale entries off the top;
+    the heap is rebuilt from ``scores`` once it holds ``_RERANK_PER_NODE``
+    entries per node.  The engine ships a job routed away from its origin,
+    prices it with ``_running_rate_delay`` at the clock and the transfers
+    shipped so far, and counts it; no router reads the clock or the count.
 
     The jobs come from ``_draw_jobs``: arrivals are read off their array
     in order, and a job leaves its work over the serving node's service
     rate after its service starts.  Joins and departures wait in a heap of
     ``(time, seq, kind, node, job)``, and one due at the time of the next
-    arrival is handled before it.  A job in transit is
-    ``(index, comm_delay)`` and waits in its node's FIFO as one flat tuple
-    ``(join_time, index, comm_delay)``.  ``run`` is one loop over local
-    state.  The attributes a router reads (``queues``, ``scores``,
-    ``ranked``, ``sojourn_sum``, ``sojourn_count``, ``job``) are kept
-    current before every ``route`` or ``score`` call; the lists are
-    shared, not copied.
+    arrival is handled before it.  Each node's FIFO holds job indices; a
+    node is idle when a job that joins it is alone in its FIFO.  ``run`` is
+    one loop over local state that records each job's serving node, join
+    time, service start, departure and comm delay (0 if local), and keeps
+    no statistics: ``_summary`` turns those times into the report.  The
+    attributes a router reads (``queues``, ``scores``, ``ranked``,
+    ``sojourn_sum``, ``sojourn_count``) are kept current before every
+    ``route`` or ``score`` call; the lists are shared, not copied.
     """
 
     def __init__(self, network: Network, cfg: SimConfig, router):
         self.network = network
         self.cfg = cfg
-        self._route, self._score, self._transfer_delay = router
+        self._route, self._score = router
         self.jobs = _draw_jobs(network, cfg)
-        self.job = -1
         n = len(network)
         self.queues: list[deque] = [deque() for _ in range(n)]
         self.sojourn_sum = [0.0] * n
         self.sojourn_count = [0] * n
-        self.scores = [] if self._score is None else [self._score(self, j) for j in range(n)]
+        self.scores = [self._score(self, j) for j in range(n)]
         self.ranked: list[tuple[float, int]] = []
         self._rerank()
 
@@ -311,7 +300,7 @@ class _Engine:
         heapq.heapify(self.ranked)
 
     def run(self) -> SimReport:
-        route, score, transfer_delay = self._route, self._score, self._transfer_delay
+        route, score, transfer_delay = self._route, self._score, _running_rate_delay(self.network)
         heappush, heappop = heapq.heappush, heapq.heappop
         queues, scores, ranked = self.queues, self.scores, self.ranked
         sojourn_sum, sojourn_count = self.sojourn_sum, self.sojourn_count
@@ -323,139 +312,115 @@ class _Engine:
         work = self.jobs.work.tolist()
         total = len(arrivals)
         arrivals.append(math.inf)
-        busy_since: list[float | None] = [None] * n
-        busy_time = [0.0] * n
-        cutoff = int(self.cfg.warmup_fraction * self.cfg.total_jobs)
-        window_start = 0.0 if cutoff == 0 else None
-        responses: list[float] = []    # per counted job: sojourn at the serving node
-        comm_delays: list[float] = []  # per counted job: comm delay (0 if local)
-        measured_transfers = transfers = seq = index = 0
-        now = 0.0
+        node, comm = self.jobs.origin.copy(), [0.0] * total
+        join, start, depart = [0.0] * total, [0.0] * total, [0.0] * total
+        transfers = seq = index = 0
         heap: list[tuple] = []
         while True:
             if heap and heap[0][0] <= arrivals[index]:
-                now, _, kind, j, job = heappop(heap)
+                now, _, kind, j, k = heappop(heap)
                 if kind == _DEPART:
                     queue = queues[j]
-                    join, done, comm_delay = queue.popleft()
-                    sojourn = now - join
-                    sojourn_sum[j] += sojourn
+                    queue.popleft()
+                    depart[k] = now
+                    sojourn_sum[j] += now - join[k]
                     sojourn_count[j] += 1
-                    if score is not None:
-                        scores[j] = s = score(self, j)
-                        heappush(ranked, (s, j))
-                        if len(ranked) > rerank_at:
-                            self._rerank()
-                    if done >= cutoff:
-                        responses.append(sojourn)
-                        comm_delays.append(comm_delay)
-                    if window_start is not None:
-                        start = busy_since[j]
-                        if start < window_start:
-                            start = window_start
-                        if now > start:
-                            busy_time[j] += now - start
+                    scores[j] = s = score(self, j)
+                    heappush(ranked, (s, j))
+                    if len(ranked) > rerank_at:
+                        self._rerank()
                     if queue:
-                        busy_since[j] = now
-                        heappush(heap, (now + work[queue[0][1]] / mu[j], seq, _DEPART, j, None))
+                        k = queue[0]
+                        start[k] = now
+                        heappush(heap, (now + work[k] / mu[j], seq, _DEPART, j, k))
                         seq += 1
-                    else:
-                        busy_since[j] = None
                     continue
             elif index < total:
-                now = arrivals[index]
-                if index == cutoff and window_start is None:
-                    window_start = now
-                i = origins[index]
-                self.job = index
+                now, k = arrivals[index], index
+                index += 1
+                i = origins[k]
                 j = route(self, i)
                 if j != i:
-                    comm_delay = transfer_delay(now, transfers)
+                    node[k], comm[k] = j, transfer_delay(now, transfers)
                     transfers += 1
-                    if index >= cutoff:
-                        measured_transfers += 1
-                    heappush(heap, (now + comm_delay, seq, _JOIN, j, (index, comm_delay)))
+                    heappush(heap, (now + comm[k], seq, _JOIN, j, k))
                     seq += 1
-                    index += 1
                     continue
-                job = (index, 0.0)
-                index += 1
             else:
                 break
-            queues[j].append((now, *job))
-            if score is not None:
-                scores[j] = s = score(self, j)
-                heappush(ranked, (s, j))
-                if len(ranked) > rerank_at:
-                    self._rerank()
-            if busy_since[j] is None:
-                busy_since[j] = now
-                heappush(heap, (now + work[job[0]] / mu[j], seq, _DEPART, j, None))
+            join[k] = now
+            queue = queues[j]
+            queue.append(k)
+            scores[j] = s = score(self, j)
+            heappush(ranked, (s, j))
+            if len(ranked) > rerank_at:
+                self._rerank()
+            if len(queue) == 1:
+                start[k] = now
+                heappush(heap, (now + work[k] / mu[j], seq, _DEPART, j, k))
                 seq += 1
-        return _report(busy_time, now - (window_start or 0.0), responses, comm_delays, measured_transfers)
+        return _summary(n, self.cfg, self.jobs, node, join, start, depart, comm)
 
 
 def _recurrence(network: Network, cfg: SimConfig, jobs: _Jobs, target: np.ndarray, comm: float) -> SimReport:
     """Static routing without an event loop: each node is one FIFO queue in join order.
 
-    A job joins its serving node on arrival, or ``comm`` later if shipped,
-    and the k-th job to join a node leaves at D_k = max(J_k, D_{k-1}) +
-    s_k; joins tied in time at one node go in arrival order, as in the
-    event loop.  These are the loop's own float operations, so departures
-    and sojourns equal the loop's bit for bit, and so does each node's busy
-    time: its departures' service spans clipped at the window's start,
-    added one by one in departure order (``np.bincount`` adds its weights
-    in order).  Responses are taken in departure order, as the loop records
-    them.  Departures at different nodes at the very same float time are
-    taken in node order here and in the order the loop queued them; that
-    tie rule is the only way the two reports can differ.
+    A job joins its serving node on arrival, or ``comm`` later if shipped;
+    the k-th job to join a node starts service at max(J_k, D_{k-1}) and
+    leaves at D_k = max(J_k, D_{k-1}) + s_k.  Joins tied in time at one
+    node go in arrival order, as in the event loop.  These are the loop's
+    own float operations, so every job's times equal the loop's bit for
+    bit, and ``_summary`` turns them into the same report.  Each node's
+    times are built in plain lists, written into the node's slice of the
+    node-by-node order and scattered back to job order once.
     """
     n = len(network)
-    shipped = target != jobs.origin
-    join = jobs.arrival + np.where(shipped, comm, 0.0)
+    delay = np.where(target != jobs.origin, comm, 0.0)
+    join = jobs.arrival + delay
     service = jobs.work / network.service_rates[target]
     order = np.argsort(join, kind="stable")
     order = order[_by_node(target[order], n)]  # node by node, each in join order
-    node, join, service = target[order], join[order], service[order]
-    depart = np.empty_like(join)
+    begin, end = join[order], service[order]  # each slice's joins and services become its starts and departures
     hi = 0
     for count in np.bincount(target, minlength=n).tolist():
         lo, hi = hi, hi + count
-        latest, departs = -math.inf, []
-        for joined, s in zip(join[lo:hi].tolist(), service[lo:hi].tolist()):
-            latest = (joined if joined > latest else latest) + s
+        latest, starts, departs = -math.inf, [], []
+        for joined, s in zip(begin[lo:hi].tolist(), end[lo:hi].tolist()):
+            first = joined if joined > latest else latest
+            latest = first + s
+            starts.append(first)
             departs.append(latest)
-        depart[lo:hi] = departs
-    cutoff = int(cfg.warmup_fraction * cfg.total_jobs)
-    window_start = jobs.arrival[cutoff].item() if 0 < cutoff < len(order) else 0.0
-    busy_from = np.empty_like(depart)  # each service's start, max(J_k, D_{k-1}), clipped at the window's start
-    busy_from[1:] = depart[:-1]
-    busy_from[np.flatnonzero(np.diff(node, prepend=-1))] = -math.inf
-    np.maximum(np.maximum(busy_from, join, out=busy_from), window_start, out=busy_from)
-    busy_time = np.bincount(node, weights=np.maximum(depart - busy_from, 0.0), minlength=n)
-    by_time = np.argsort(depart, kind="stable")
-    counted = by_time[order[by_time] >= cutoff]
-    end = depart.max().item() if len(depart) else 0.0
-    return _report(busy_time.tolist(), end - window_start, depart[counted] - join[counted],
-                   np.where(shipped[order[counted]], comm, 0.0), int(np.count_nonzero(shipped[cutoff:])))
+        begin[lo:hi], end[lo:hi] = starts, departs
+    start, depart = np.empty_like(join), np.empty_like(join)
+    start[order], depart[order] = begin, end
+    return _summary(n, cfg, jobs, target, join, start, depart, delay)
 
 
-def _report(busy_time: list[float], window: float, responses, comm_delays, transfers: int) -> SimReport:
-    """The report of a run: busy time over the window, and the measured jobs' statistics.
+def _summary(n: int, cfg: SimConfig, jobs: _Jobs, node, join, start, depart, comm) -> SimReport:
+    """The report of a run from each job's serving node, join time, service start, departure and comm delay.
 
-    ``responses`` and ``comm_delays`` hold each measured job's sojourn at
-    its serving node and its comm delay (0 if local), in departure order.
+    The jobs are those of ``_draw_jobs``, and each array is in their order.
+    The first ``warmup_fraction`` of them are warm-up: the window opens at
+    the first measured arrival (at 0 without warm-up) and closes at the
+    last departure.  A node's busy time is its service spans clipped at the
+    window's start, added in departure order (``np.bincount`` adds its
+    weights in order).  The measured jobs' sojourns at their serving nodes
+    and comm delays are taken in departure order, exact ties in arrival
+    order; a measured job served away from its origin is a transfer.
     """
-    responses = np.asarray(responses, dtype=float)
-    comm_delays = np.asarray(comm_delays, dtype=float)
-    if window > 0:
-        utilization = tuple(min(b / window, 1.0) for b in busy_time)
-    else:
-        utilization = tuple(0.0 for _ in busy_time)
+    node, join, start, depart, comm = map(np.asarray, (node, join, start, depart, comm))
+    cutoff = int(cfg.warmup_fraction * cfg.total_jobs)
+    window_start = jobs.arrival[cutoff].item() if 0 < cutoff < len(depart) else 0.0
+    window = (depart.max().item() if len(depart) else 0.0) - window_start
+    by_time = np.argsort(depart, kind="stable")
+    spans = np.maximum(depart - np.maximum(start, window_start), 0.0)
+    busy = np.bincount(node[by_time], weights=spans[by_time], minlength=n).tolist()
+    counted = by_time[by_time >= cutoff]
+    responses, comm_delays = depart[counted] - join[counted], comm[counted]
     return SimReport(
         mean_response_time=_composite_mean(responses, comm_delays),
-        utilization=utilization,
-        transfer_count=transfers,
+        utilization=tuple(min(b / window, 1.0) if window > 0 else 0.0 for b in busy),
+        transfer_count=int(np.count_nonzero(node[cutoff:] != jobs.origin[cutoff:])),
         ci_halfwidth=_batch_means_halfwidth(responses, comm_delays),
     )
 

@@ -612,7 +612,8 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     Relative residuals: price gaps are normalized by the price they are
     measured against, flow identities by the total arrival rate (by 1 for
     a network without arrivals), so a verdict does not change when every
-    rate is scaled.
+    rate is scaled.  Traffic at or beyond the interconnect's saturation
+    rate has no comm price: its ``comm_price_consistency`` is inf.
     """
     alpha = solution.alpha
     comm_price = solution.comm_price
@@ -620,7 +621,7 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     beta = np.asarray(solution.allocation.rates)
     lam = solution.allocation.transfer_rate
     phi_total = network.total_arrival_rate
-    scale = phi_total if phi_total > 0 else 1.0
+    scale = phi_total or 1.0
 
     phi = network.arrival_rates
     codes = solution.partition.codes
@@ -652,7 +653,8 @@ def verify_optimality(network: Network, solution: OptimalSolution, tol: float = 
     mass_res = abs(float(beta.sum()) - phi_total) / scale
     surplus, deficit = _transfer_totals(network, codes, beta)
     transfer_res = max(abs(lam - surplus), abs(lam - deficit)) / scale
-    price_res = abs(comm_price - phi_total * network.comm.delay_derivative(lam)) / max(comm_price, 1.0)
+    price_res = (abs(comm_price - phi_total * network.comm.delay_derivative(lam)) / max(comm_price, 1.0)
+                 if lam < network.comm.max_rate else np.inf)  # a saturated channel has no price
 
     margin = None
     if solution.no_transfer_override:

@@ -182,6 +182,21 @@ class TestCommDelay:
         with pytest.raises(ValueError):
             lb.PolynomialCommDelay((0.1, -0.2))
 
+    @pytest.mark.parametrize("build", [
+        lambda: lb.ConstantCommDelay(math.nan),
+        lambda: lb.ConstantCommDelay(math.inf),
+        lambda: lb.PolynomialCommDelay((0.0, math.nan)),
+        lambda: lb.PolynomialCommDelay((math.inf,)),
+        lambda: lb.MM1ChannelCommDelay(math.inf, 2.0),
+        lambda: lb.MM1ChannelCommDelay(0.1, math.inf),
+        lambda: lb.MM1ChannelCommDelay(0.1, math.nan),
+    ], ids=["constant-nan", "constant-inf", "polynomial-nan", "polynomial-inf", "channel-inf-t",
+            "channel-inf-capacity", "channel-nan-capacity"])
+    def test_non_finite_parameters_rejected(self, build):
+        # the library refuses what a config parse refuses: a NaN or infinite parameter
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
     def test_derivative_constant_detection(self):
         assert lb.ConstantCommDelay(0.1).derivative_is_constant
         assert lb.PolynomialCommDelay((0.1, 0.2)).derivative_is_constant

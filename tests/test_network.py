@@ -197,6 +197,23 @@ class TestFeasibility:
         assert report.feasible
         assert lb.relay_count(flow) == 1
 
+    def test_tolerances_scale_with_arrivals(self):
+        # a pair at micro rates: shipping 5e-10 more than node a's arrivals is 3.3e-4 of Phi,
+        # far beyond the 1e-9 flow tolerance however small the rates are
+        phi = 1.5e-6
+        net = make_network([phi, 0.0], [4e-6, 4e-6])
+        flow = lb.FlowMatrix([[0.0, phi + 5e-10], [0.0, 0.0]])
+        report = lb.check_feasibility(net, flow)
+        assert not report.feasible
+        assert any("node 0" in v for v in report.violations)
+        with pytest.raises(lb.InfeasibleFlowError):
+            lb.mean_response_time(net, flow)
+        with pytest.raises(ValueError, match="sum to"):
+            lb.Allocation(rates=(0.0, phi + 5e-10), transfer_rate=phi).validate(net)
+        sources_and_sink = lb.NodePartition((lb.NodeRole.IDLE_SOURCE, lb.NodeRole.SINK))
+        with pytest.raises(ValueError, match="surplus"):
+            lb.synthesize_flows(net, sources_and_sink, (0.0, phi + 5e-10))
+
     def test_comm_saturation_flagged(self):
         net = make_network([1.0, 0.0], [4.0, 4.0], lb.MM1ChannelCommDelay(0.1, 0.5))
         report = lb.check_feasibility(net, lb.FlowMatrix([[0.0, 0.8], [0.0, 0.0]]))

@@ -300,12 +300,42 @@ def test_recurrence_matches_event_loop(network):
         for seed in range(5):
             for jobs, warmup in ((3000, 0.1), (3000, 0.0), (1, 0.1), (3, 0.1)):
                 cfg = lb.SimConfig(jobs, seed=seed, warmup_fraction=warmup)
-                # the engine draws the jobs again from the seed: the same jobs
-                router = sim._static_router(*sim._static_routes(net, flow, sim._draw_jobs(net, cfg)))
                 report = lb.simulate_static(net, flow, cfg)
-                assert report == sim._Engine(net, cfg, router).run(), (seed, jobs, warmup)
+                assert report == static_engine(net, flow, cfg).run(), (seed, jobs, warmup)
                 transfers += report.transfer_count
     assert transfers > 0
+
+
+def static_engine(net, flow, cfg):
+    """The event loop routing a static flow's jobs to their precomputed targets.
+
+    The route reads each arrival's target in turn and every node scores 0.0.
+    On a constant interconnect of G(flow total), the engine's running-rate
+    delay prices every transfer at exactly the recurrence's constant.  The
+    engine draws the jobs again from the seed: the same jobs.
+    """
+    target, comm = sim._static_routes(net, flow, sim._draw_jobs(net, cfg))
+    targets = iter(target.tolist())
+    router = (lambda engine, i: next(targets)), (lambda engine, j: 0.0)
+    return sim._Engine(net.with_comm(lb.ConstantCommDelay(comm)), cfg, router)
+
+
+def test_exact_departure_tie_goes_in_arrival_order():
+    """Jobs 1 and 2 leave nodes 0 and 1 at the same float time, 1.0 + 0.3 == 0.5 + 0.8.
+    The event loop queued job 2's departure first, at its arrival; both engines hand their
+    times to one summary, which takes the tie in arrival order, and the order shows in the
+    last bits of the mean."""
+    net = make_network([0.5, 0.5], [1.0, 1.0])
+    cfg = lb.SimConfig(total_jobs=3, seed=0, warmup_fraction=0.0)
+    jobs = sim._Jobs(np.array([0.0, 0.25, 0.5]), np.array([0, 0, 1]), np.zeros(3), np.array([1.0, 0.3, 0.8]))
+    engine = sim._Engine(net, cfg, ((lambda engine, i: i), (lambda engine, j: 0.0)))
+    engine.jobs = jobs
+    report = engine.run()
+    assert report == sim._recurrence(net, cfg, jobs, jobs.origin, 0.0)
+    tie = 1.0 + 0.3
+    assert tie == 0.5 + 0.8
+    arrival_order, loop_order = [1.0, tie - 0.25, tie - 0.5], [1.0, tie - 0.5, tie - 0.25]
+    assert report.mean_response_time == np.mean(arrival_order) != np.mean(loop_order)
 
 
 def test_jobs_are_drawn_up_front():
@@ -323,11 +353,16 @@ def test_jobs_are_drawn_up_front():
 
 
 def test_report_statistics_match_the_plain_sums():
-    # numpy sums pairwise: within a few ulps of one sum per batch in departure order
+    # numpy sums pairwise: within a few ulps of one sum per batch in departure order.  One
+    # node serves every job on arrival, two time units apart, for less than two units
     rng = np.random.default_rng(4)
-    sojourns = rng.standard_exponential(2017).tolist()
-    comm = np.where(rng.random(2017) < 0.3, 0.05, 0.0).tolist()
-    report = sim._report([1.0], 2.0, sojourns, comm, 0)
+    join = np.arange(2017) * 2.0
+    depart = join + rng.uniform(0.5, 1.5, 2017)
+    comm = np.where(rng.random(2017) < 0.3, 0.05, 0.0)
+    jobs = sim._Jobs(join, np.zeros(2017, dtype=np.intp), np.zeros(2017), np.zeros(2017))
+    report = sim._summary(1, lb.SimConfig(2017, seed=0, warmup_fraction=0.0), jobs, jobs.origin, join, join,
+                          depart, comm)
+    sojourns, comm = (depart - join).tolist(), comm.tolist()
 
     def composite(s, c):
         shipped = [x for x in c if x > 0]
@@ -336,7 +371,7 @@ def test_report_statistics_match_the_plain_sums():
     means = [composite(sojourns[b * per:(b + 1) * per], comm[b * per:(b + 1) * per]) for b in range(20)]
     assert report.mean_response_time == pytest.approx(composite(sojourns, comm), rel=1e-13)
     assert report.ci_halfwidth == pytest.approx(sim._T_CRIT_19 * float(np.std(means, ddof=1)) / math.sqrt(20), rel=1e-9)
-    assert report.utilization == (0.5,)
+    assert report.utilization == (pytest.approx(sum(sojourns) / depart[-1], rel=1e-13),)
 
 
 @pytest.mark.parametrize("policy", list(lb.Policy))

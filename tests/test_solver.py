@@ -232,6 +232,16 @@ class TestVerifyOptimality:
         assert report.override_margin >= 0.0
         assert report.worst() < 1e-8
 
+    def test_saturated_channel_reports_inf_price_residual(self):
+        # an answer whose traffic saturates the channel has no comm price to check against
+        net = make_network([1.5, 0.0], [4.0, 4.0], lb.MM1ChannelCommDelay(0.02, 2.0))
+        solution = lb.solve(net)
+        saturated = dataclasses.replace(
+            solution, allocation=dataclasses.replace(solution.allocation, transfer_rate=2.0))
+        report = lb.verify_optimality(net, saturated)
+        assert report.comm_price_consistency == np.inf
+        assert not report.passed()
+
     def test_inf_objective_override_fails(self):
         # arrivals within rounding of capacity: node 1 is overloaded, so keeping load local is inf
         net = make_network([0.10292525252525252, 0.9810747474747474], [0.255, 0.829], lb.ConstantCommDelay(0.0))
