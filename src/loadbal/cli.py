@@ -86,6 +86,7 @@ def _emit_csv(rows: list[list], out: str | None) -> None:
 
 
 def _solution_report(network: Network, solution: OptimalSolution) -> dict:
+    """The solve report; its ``flow`` is the plan, made a dense n x n list only for ``--out`` JSON."""
     flow = synthesize_flows(network, solution.partition, solution.allocation.rates)
     kkt = verify_optimality(network, solution)
     return {
@@ -102,7 +103,7 @@ def _solution_report(network: Network, solution: OptimalSolution) -> dict:
         "aggregate_objective": solution.objective,
         "no_transfer_override": solution.no_transfer_override,
         "iterations": solution.iterations,
-        "flow": flow.matrix.tolist(),
+        "flow": flow,
         "kkt": {**asdict(kkt), "worst": kkt.worst()},
     }
 
@@ -132,7 +133,7 @@ def cmd_solve(args) -> int:
                  repr(row["marginal_delay"])] for row in report["nodes"]])
     elif args.out:
         with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump({**report, "flow": report["flow"].matrix.tolist()}, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
 

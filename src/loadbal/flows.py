@@ -10,8 +10,6 @@ matches senders (d > 0) against receivers (d < 0) in node-index order.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .delays import CommDelayModel
@@ -22,11 +20,11 @@ def _fill(n: int, surplus: dict, deficit: dict) -> FlowMatrix:
     """Greedy match of senders' surpluses against receivers' deficits, in node-index order.
 
     Each sender empties exactly: rounding crumbs left after the last receiver
-    fills go to that receiver.  The matching runs on Python floats and the
-    matrix is written in one scatter.  Every entry is positive and no node
-    both sends and receives, so a matrix with finite entries is handed to
-    :class:`FlowMatrix` without its copy and checks; an infinite surplus or
-    deficit still meets the constructor's finiteness check.
+    fills go to that receiver.  The matching runs on Python floats.  Every
+    entry is positive, senders and receivers are visited in index order and
+    no node both sends and receives, so the entries go to :class:`FlowMatrix`
+    as they are, row-major, without a dense matrix; an infinite surplus or
+    deficit still meets its finiteness check.
     """
     receivers = sorted(deficit)
     left = [float(deficit[r]) for r in receivers]
@@ -47,11 +45,8 @@ def _fill(n: int, surplus: dict, deficit: dict) -> FlowMatrix:
             # exactly or an idle source would keep a sliver of load
             key = i, receivers[-1]
             entries[key] = entries.get(key, 0.0) + remaining
-    x = np.zeros((n, n))
-    if entries:
-        rows, cols = zip(*entries)
-        x[rows, cols] = list(entries.values())
-    return FlowMatrix._adopt(x) if all(map(math.isfinite, entries.values())) else FlowMatrix(x)
+    rows, cols = zip(*entries) if entries else ((), ())
+    return FlowMatrix._from_entries(n, rows, cols, list(entries.values()))
 
 
 def synthesize_flows(network: Network, partition: NodePartition, rates) -> FlowMatrix:

@@ -186,7 +186,12 @@ class Network:
 
 
 class FlowMatrix:
-    """Finite, nonnegative off-diagonal transfer rates x[i][j] from node i to node j."""
+    """Finite, nonnegative off-diagonal transfer rates x[i][j] from node i to node j.
+
+    Only the positive entries are stored, as read-only arrays ``(rows, cols,
+    rates)`` in row-major order, so a relay-free plan takes O(n) memory.  The
+    dense n x n view (:attr:`matrix`, ``repr``) is built only when asked for.
+    """
 
     def __init__(self, rates):
         x = np.array(rates, dtype=float)
@@ -198,49 +203,70 @@ class FlowMatrix:
             raise ValueError("flow matrix entries must be >= 0")
         if np.any(np.diagonal(x) != 0):
             raise ValueError("flow matrix diagonal must be zero")
-        x.setflags(write=False)
-        self._x = x
+        rows, cols = np.nonzero(x)
+        self._set(len(x), rows, cols, x[rows, cols])
 
     @classmethod
-    def _adopt(cls, x: np.ndarray) -> "FlowMatrix":
-        """A flow matrix on ``x`` itself, without the copy and the checks.
+    def _from_entries(cls, n: int, rows, cols, rates) -> "FlowMatrix":
+        """A flow matrix on the entries ``rates[k]`` at ``(rows[k], cols[k])``.
 
-        Only for builders whose ``x`` is a fresh float64 matrix that is square,
-        finite and nonnegative with a zero diagonal by construction
-        (``flows._fill``); everything else goes through the constructor.
+        Only for builders whose entries are positive, off the diagonal, unique
+        and in row-major order by construction (``flows._fill``); only
+        finiteness is checked.  Everything else goes through the constructor.
         """
-        x.setflags(write=False)
+        rates = np.array(rates, dtype=float)
+        if not np.isfinite(rates).all():
+            raise ValueError("flow matrix entries must be finite")
         flow = object.__new__(cls)
-        flow._x = x
+        flow._set(n, np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), rates)
         return flow
+
+    def _set(self, n: int, rows: np.ndarray, cols: np.ndarray, rates: np.ndarray) -> None:
+        for a in (rows, cols, rates):
+            a.setflags(write=False)
+        self._n = n
+        self._entries = rows, cols, rates
 
     @classmethod
     def zero(cls, n: int) -> "FlowMatrix":
-        return cls(np.zeros((n, n)))
+        return cls._from_entries(n, (), (), ())
+
+    @property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The positive entries as read-only arrays ``(rows, cols, rates)``, in row-major order."""
+        return self._entries
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._x
+        """The dense n x n matrix, read-only; built anew on each access."""
+        rows, cols, rates = self._entries
+        x = np.zeros((self._n, self._n))
+        x[rows, cols] = rates
+        x.setflags(write=False)
+        return x
 
     def __len__(self) -> int:
-        return self._x.shape[0]
+        return self._n
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FlowMatrix) and np.array_equal(self._x, other._x)
+        return (isinstance(other, FlowMatrix) and self._n == other._n
+                and all(map(np.array_equal, self._entries, other._entries)))
 
     def __repr__(self) -> str:
-        return f"FlowMatrix({self._x.tolist()!r})"
+        return f"FlowMatrix({self.matrix.tolist()!r})"
 
     @property
     def total_rate(self) -> float:
-        """Total transfer traffic on the network."""
-        return float(self._x.sum())
+        """Total transfer traffic on the network: the sum of the entries."""
+        return float(self._entries[2].sum())
 
     def inflow(self) -> np.ndarray:
-        return self._x.sum(axis=0)
+        _, cols, rates = self._entries
+        return np.bincount(cols, weights=rates, minlength=self._n)
 
     def outflow(self) -> np.ndarray:
-        return self._x.sum(axis=1)
+        rows, _, rates = self._entries
+        return np.bincount(rows, weights=rates, minlength=self._n)
 
 
 @dataclass(frozen=True)
@@ -353,16 +379,17 @@ def check_feasibility(network: Network, flow: FlowMatrix) -> FeasibilityReport:
     traffic inside the interconnect's admissible range.
     """
     beta = processing_rates(network, flow)
+    mu = network.service_rates
     phi_total = network.total_arrival_rate
     tol = 1e-9 * (phi_total or 1.0)
+    negative = beta < -tol
+    saturated = beta >= mu
     violations = []
-    for i, b in enumerate(beta):
-        if b < -tol:
-            violations.append(f"node {i}: implied processing rate {b} < 0")
-        if b >= network.service_rates[i]:
-            violations.append(
-                f"node {i}: implied processing rate {b} >= service rate {network.service_rates[i]}"
-            )
+    for i in np.flatnonzero(negative | saturated).tolist():
+        if negative[i]:
+            violations.append(f"node {i}: implied processing rate {beta[i]} < 0")
+        if saturated[i]:
+            violations.append(f"node {i}: implied processing rate {beta[i]} >= service rate {mu[i]}")
     if abs(float(beta.sum()) - phi_total) > tol:
         violations.append(f"processing rates sum to {beta.sum()}, expected {phi_total}")
     lam = flow.total_rate
@@ -371,7 +398,7 @@ def check_feasibility(network: Network, flow: FlowMatrix) -> FeasibilityReport:
     return FeasibilityReport(
         feasible=not violations,
         violations=tuple(violations),
-        processing_rates=tuple(float(b) for b in beta),
+        processing_rates=tuple(beta.tolist()),
     )
 
 

@@ -133,11 +133,10 @@ def _static_routes(network: Network, flow: FlowMatrix, jobs: _Jobs) -> tuple[np.
     """
     lam = flow.total_rate
     comm = network.comm.delay(lam) if lam > 0 else 0.0
-    x = flow.matrix
-    rows, cols = np.nonzero(x > 0)
+    rows, cols, rates = flow.entries
     if not len(rows):
         return jobs.origin, comm
-    shares = x[rows, cols] / network.arrival_rates[rows]
+    shares = rates / network.arrival_rates[rows]
     starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each split row's first entry
     stops = [*starts[1:].tolist(), len(rows)]
     choices = np.insert(cols, stops, rows[starts])  # each split row's columns, then the row itself

@@ -209,12 +209,14 @@ def _search_alpha(network: Network, comm_price: float) -> float:
     s2 = np.cumsum(np.concatenate((root_mu, -root_mu, zero))[order])
     sinks = np.cumsum(kind == 2)
     actives = np.cumsum(kind == 0) - np.cumsum(kind == 1)
-    # R at the right end of each segment; a segment nothing moves on cannot hold the root
+    # R at the right end of each segment.  Without a sink R <= 0 on the whole
+    # segment (the band and the active sources take less than Phi), so a
+    # positive R there is rounding in (f - c) + c, not a root
     right = np.append(at[1:], np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = k - np.where(sinks > 0, s1 / np.sqrt(right), 0.0) \
               - np.where(actives > 0, s2 / np.sqrt(right + comm_price), 0.0)
-    crossed = (r > 0.0) & ((sinks > 0) | (actives > 0))
+    crossed = (r > 0.0) & (sinks > 0)
     crossed[-1] = True  # stability makes R positive beyond the last breakpoint
     j = int(np.argmax(crossed))
 

@@ -91,6 +91,18 @@ class TestSolve:
         assert rows[1][0] == "a" and rows[2][0] == "b"
         assert float(rows[1][2]) == pytest.approx(0.75, abs=1e-6)
 
+    def test_plan_stays_sparse_unless_written_as_json(self, asym_config, tmp_path, monkeypatch):
+        # the dense n x n view is built for the JSON `flow` list only: the printed report and
+        # the CSV never read it (golden_cli.json holds the JSON bytes)
+        def dense(flow):
+            raise AssertionError("dense flow matrix built")
+
+        monkeypatch.setattr(lb.FlowMatrix, "matrix", property(dense))
+        assert main(["solve", asym_config]) == 0
+        assert main(["solve", asym_config, "--out", str(tmp_path / "report.csv"), "--format", "csv"]) == 0
+        with pytest.raises(AssertionError, match="dense flow matrix built"):
+            main(["solve", asym_config, "--out", str(tmp_path / "report.json")])
+
     def test_config_roundtrip(self, asym_config, tmp_path):
         out_file = tmp_path / "report.json"
         main(["solve", asym_config, "--out", str(out_file)])

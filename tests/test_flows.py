@@ -1,4 +1,6 @@
-"""Flow synthesis and relay elimination."""
+"""Flow synthesis, relay elimination and the entries a flow matrix stores."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,7 +147,7 @@ class TestEliminateRelays:
 
 
 class TestFillHandsOver:
-    """The greedy fill hands its fresh matrix to FlowMatrix without the constructor's copy and checks."""
+    """The greedy fill hands its entries to FlowMatrix without a dense matrix or the constructor's checks."""
 
     def test_same_matrix_as_the_checked_constructor(self):
         from conftest import random_network
@@ -176,3 +178,76 @@ class TestFillHandsOver:
         assert flow.matrix[0, 1] == 0.5
         with pytest.raises(ValueError, match="diagonal"):
             lb.FlowMatrix([[0.1, 0.0], [0.0, 0.0]])
+
+
+class TestEntries:
+    """A flow matrix stores its positive entries in row-major order; the dense view is built on request."""
+
+    def test_dense_round_trip(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 5, 9):
+            x = rng.uniform(0.0, 1.0, (n, n)) * (rng.random((n, n)) < 0.4)
+            np.fill_diagonal(x, 0.0)
+            flow = lb.FlowMatrix(x)
+            rows, cols, rates = flow.entries
+            expected_rows, expected_cols = np.nonzero(x)
+            assert rows.tolist() == expected_rows.tolist() and cols.tolist() == expected_cols.tolist()
+            assert rates.tobytes() == x[expected_rows, expected_cols].tobytes()
+            assert np.all(rates > 0) and len(flow) == n
+            assert flow.matrix.tobytes() == x.tobytes()
+
+    def test_zero_has_no_entries(self):
+        flow = lb.FlowMatrix.zero(4)
+        assert len(flow) == 4 and all(len(a) == 0 for a in flow.entries)
+        assert flow.matrix.tolist() == np.zeros((4, 4)).tolist()
+        assert flow.total_rate == 0.0 and flow.inflow().tolist() == [0.0] * 4
+        assert flow == lb.FlowMatrix(np.zeros((4, 4))) and flow != lb.FlowMatrix.zero(3)
+
+    def test_equal_across_constructors(self, asymmetric_pair):
+        dense = lb.FlowMatrix([[0.0, 0.3, 0.0], [0.0, 0.0, 0.2], [0.0, 0.0, 0.0]])
+        assert lb.FlowMatrix._from_entries(3, [0, 1], [1, 2], [0.3, 0.2]) == dense
+        assert lb.FlowMatrix._from_entries(3, [0, 1], [1, 2], [0.3, 0.25]) != dense
+        solution = lb.solve(asymmetric_pair)
+        synthesized = lb.synthesize_flows(asymmetric_pair, solution.partition, solution.allocation.rates)
+        assert synthesized == lb.FlowMatrix(synthesized.matrix)
+
+    def test_views_are_read_only_float64(self):
+        flow = lb.FlowMatrix._from_entries(3, [0, 1], [1, 2], [0.3, 0.2])
+        for view in (flow.matrix, *flow.entries):
+            assert not view.flags.writeable
+        assert flow.matrix.dtype == np.float64 and flow.entries[2].dtype == np.float64
+        with pytest.raises(ValueError):
+            flow.matrix[0, 1] = 1.0
+
+    def test_inflow_is_the_dense_column_sum(self):
+        from conftest import random_network
+
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            net = random_network(rng, int(rng.integers(2, 12)))
+            solution = lb.solve(net)
+            for flow in (lb.synthesize_flows(net, solution.partition, solution.allocation.rates),
+                         random_feasible_flow(rng, headroom_network(rng, 8))):
+                assert flow.inflow().tobytes() == flow.matrix.sum(axis=0).tobytes()
+
+    def test_plan_memory_is_linear_in_n(self):
+        # a dense plan at n = 5,000 is 200 MB; the entries of a relay-free plan take well under 1 MB
+        rng = np.random.default_rng(5)
+        n = 5_000
+        mu = 10.0 ** rng.uniform(-1.0, 2.0, n)
+        phi = rng.uniform(0.05, 0.9, n) * mu
+        phi[rng.random(n) < 0.1] = 0.0
+        net = make_network(phi, mu)
+        solution = lb.solve(net)
+        tracemalloc.start()
+        try:
+            flow = lb.synthesize_flows(net, solution.partition, solution.allocation.rates)
+            lb.processing_rates(net, flow)
+            assert lb.relay_count(flow) == 0
+            assert lb.check_feasibility(net, flow).feasible
+            assert flow.total_rate > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert len(flow.entries[0]) > n // 4

@@ -366,6 +366,18 @@ class TestFindAlpha:
                 overrides += override
         assert held > 500 and 0 < overrides < 800
 
+    def test_no_sink_segment_never_holds_the_root(self):
+        # without a sink R <= 0 on a segment, but on b's steep active segment the rounding of
+        # (f - c) + c made R read positive, and the search returned b's breakpoint with no sink:
+        # an all-neutral answer that neither the band nor the no-transfer comparison certified
+        net = make_network([5.810209910480394e-06, 4629.076786241824],
+                           [1.219356322314659e-05, 43582.804981638226],
+                           lb.MM1ChannelCommDelay(6705.795604376224, 11786.930535371983))
+        solution = lb.solve(net)
+        assert lb.verify_optimality(net, solution).passed()
+        assert solution.no_transfer_override
+        assert solution.partition.compact() == "N,N"
+
     def test_residual_at_rounding_level_with_large_sinks(self):
         # idle nodes with mu up to 1e4 become sinks; a heavily loaded fast node
         # keeps the sum's own rounding step (about 2e-16 * mu) below the bound
